@@ -1,6 +1,7 @@
 // Vectorized execution engine: wall-time speedup of the columnar batch
 // pipeline over the row-at-a-time interpreter on TPC-H-shaped plans, with
-// bit-identity enforcement. Three plan shapes over lineitem at SF 0.1:
+// bit-identity enforcement. Three single-table plan shapes over lineitem
+// at SF 0.1:
 //
 //   filter    — Q6's selective conjunctive range predicates, output
 //               materialized (scan + branchless filter kernels);
@@ -9,8 +10,16 @@
 //   q1_group  — Q1's shape: a ~95%-pass date predicate under a grouped
 //               aggregate over l_returnflag with the full function set.
 //
+// and the optimizer's plans for the first Q3 instance (customer x orders
+// x lineitem, grouped, sorted, TOP 10) and the first Q14 instance
+// (lineitem x part under a month of ship dates), each under the initial
+// configuration and with indexes on the join keys:
+//
+//   q3_join, q3_join_idx, q14_join, q14_join_idx.
+//
 // Acceptance bars (nonzero exit on failure):
-//   - every shape's vectorized path >= 3x over the row path;
+//   - every single-table shape's vectorized path >= 3x over the row path
+//     (join shapes report their speedup without a bar);
 //   - results, per-node actual cardinalities, and ExecutionCostModel
 //     costs bit-identical between engines on every shape;
 //   - a continuous-tuning run recommends identical configurations under
@@ -68,6 +77,7 @@ Predicate RangePred(int table, int col, CmpOp op, Value lo,
 
 struct ShapeResult {
   std::string name;
+  bool gated = true;  // Held to the 3x speedup bar.
   double row_ms = 0;
   double vec_ms = 0;
   bool identical = true;
@@ -93,8 +103,10 @@ std::string ResultFingerprint(const ExecResult& r) {
     }
   } else {
     out += StrFormat("|n=%zu", r.rows.size());
-    for (size_t i = 0; i < r.rows.tuples.size(); i += 97) {  // Sampled.
-      for (uint32_t t : r.rows.tuples[i]) out += StrFormat("|%u", t);
+    for (size_t i = 0; i < r.rows.size(); i += 97) {  // Sampled.
+      for (size_t s = 0; s < r.rows.width(); ++s) {
+        out += StrFormat("|%u", r.rows.Tuple(i)[s]);
+      }
     }
   }
   return out;
@@ -123,9 +135,10 @@ double TimeEngine(const Database& db, IndexManager* indexes,
 
 ShapeResult RunShape(const std::string& name, const Database& db,
                      IndexManager* indexes, const PhysicalPlan& plan,
-                     int repeats) {
+                     int repeats, bool gated = true) {
   ShapeResult out;
   out.name = name;
+  out.gated = gated;
   if (!VectorizedExecutor::CanExecute(*plan.root)) {
     std::fprintf(stderr, "FATAL: %s plan not vectorizable\n", name.c_str());
     std::exit(2);
@@ -252,11 +265,47 @@ int main() {
   shapes.push_back(
       RunShape("q1_group", db, bdb->indexes(), q1_plan, repeats));
 
+  // Join shapes: the optimizer's own plans, so they carry whatever join
+  // algorithms and access paths it picks at this scale.
+  auto first_instance = [&bdb](const std::string& family) -> const QuerySpec& {
+    for (const QuerySpec& q : bdb->queries()) {
+      if (q.name.rfind(family, 0) == 0) return q;
+    }
+    std::fprintf(stderr, "FATAL: no %s instance\n", family.c_str());
+    std::exit(2);
+  };
+  auto key_index = [&db](const std::string& table, const std::string& col) {
+    IndexDef def;
+    def.table_id = db.FindTable(table);
+    def.key_columns = {ColId(db.table(def.table_id), col)};
+    return def;
+  };
+  Configuration q3_keys = bdb->initial_config();
+  q3_keys.Add(key_index("orders", "o_custkey"));
+  q3_keys.Add(key_index("lineitem", "l_orderkey"));
+  Configuration q14_keys = bdb->initial_config();
+  q14_keys.Add(key_index("part", "p_partkey"));
+  const struct {
+    const char* name;
+    const char* family;
+    const Configuration* config;
+  } join_shapes[] = {{"q3_join", "q03", &bdb->initial_config()},
+                     {"q3_join_idx", "q03", &q3_keys},
+                     {"q14_join", "q14", &bdb->initial_config()},
+                     {"q14_join_idx", "q14", &q14_keys}};
+  for (const auto& js : join_shapes) {
+    const auto plan =
+        bdb->what_if()->Optimize(first_instance(js.family), *js.config);
+    bdb->indexes()->Materialize(*js.config);  // Index builds are not timed.
+    shapes.push_back(RunShape(js.name, db, bdb->indexes(), *plan, repeats,
+                              /*gated=*/false));
+  }
+
   std::vector<std::vector<std::string>> t1;
   t1.push_back({"shape", "row ms", "vectorized ms", "speedup", "identical"});
   for (const ShapeResult& s : shapes) {
     t1.push_back({s.name, F3(s.row_ms), F3(s.vec_ms),
-                  StrFormat("%.2fx", s.speedup()),
+                  StrFormat("%.2fx%s", s.speedup(), s.gated ? "" : " (info)"),
                   s.identical ? "yes" : "NO"});
   }
   PrintTable(StrFormat("Row vs vectorized execution (lineitem %zu rows, "
@@ -284,9 +333,10 @@ int main() {
     const ShapeResult& s = shapes[i];
     json += StrFormat(
         "    \"%s\": {\"row_ms\": %.3f, \"vectorized_ms\": %.3f, "
-        "\"speedup\": %.2f, \"identical\": %s}%s\n",
+        "\"speedup\": %.2f, \"gated\": %s, \"identical\": %s}%s\n",
         s.name.c_str(), s.row_ms, s.vec_ms, s.speedup(),
-        s.identical ? "true" : "false", i + 1 < shapes.size() ? "," : "");
+        s.gated ? "true" : "false", s.identical ? "true" : "false",
+        i + 1 < shapes.size() ? "," : "");
   }
   json += StrFormat("  },\n  \"tuning_identical\": %s\n}\n",
                     tune_match ? "true" : "false");
@@ -304,7 +354,7 @@ int main() {
                    s.name.c_str());
       ok = false;
     }
-    if (s.speedup() < 3.0) {
+    if (s.gated && s.speedup() < 3.0) {
       std::fprintf(stderr, "FAIL: %s vectorized speedup was %.2fx "
                    "(need >= 3x)\n",
                    s.name.c_str(), s.speedup());

@@ -11,7 +11,10 @@
 // regression-class F1 against the optimizer baseline on the other half.
 //
 // Emits machine-readable results to BENCH_tpch_scale.json (atomic
-// write). Exits non-zero when any determinism cross-check fails.
+// write). Exits non-zero when any determinism cross-check fails, or when
+// any executed plan fell back to the row engine: every plan the optimizer
+// emits must run on the batch engine (exec.plans_executed ==
+// exec.vectorized_plans, a deterministic count).
 //
 // Knobs: AIMAI_QUICK=1 sweeps SF 0.01 only; the default sweeps
 // {0.01, 0.05, 0.1}; AIMAI_FULL=1 adds 0.3. AIMAI_SEED=<n> reseeds.
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "harness.h"
+#include "obs/metrics.h"
 #include "robustness/atomic_file.h"
 #include "tuner/query_tuner.h"
 #include "workloads/tpch_sf.h"
@@ -61,12 +65,20 @@ struct SfResult {
   double measured_improvement_pct = 0;
   double model_f1 = 0;
   double optimizer_f1 = 0;
+  int64_t plans_executed = 0;
+  int64_t vectorized_plans = 0;
 };
+
+int64_t CounterValue(const char* name) {
+  return obs::Registry().GetCounter(name)->value();
+}
 
 SfResult RunOne(double sf, uint64_t seed, bool quick) {
   SfResult r;
   r.sf = sf;
   r.lineitem_rows = TpchSfRows(sf, kTpchSfLineitemBase);
+  const int64_t executed0 = CounterValue("exec.plans_executed");
+  const int64_t vectorized0 = CounterValue("exec.vectorized_plans");
 
   TpchSfOptions opts;
   opts.sf = sf;
@@ -156,6 +168,8 @@ SfResult RunOne(double sf, uint64_t seed, bool quick) {
   }
   r.model_f1 = RegressionF1(cm);
   r.optimizer_f1 = RegressionF1(cm_opt);
+  r.plans_executed = CounterValue("exec.plans_executed") - executed0;
+  r.vectorized_plans = CounterValue("exec.vectorized_plans") - vectorized0;
   return r;
 }
 
@@ -181,10 +195,18 @@ int main() {
                   "est_impr%", "meas_impr%", "model_f1", "opt_f1",
                   "determinism"});
   bool deterministic = true;
+  bool all_batch = true;
   for (double sf : sfs) {
     std::fprintf(stderr, "bench_tpch_scale: SF=%.3g ...\n", sf);
     SfResult r = RunOne(sf, opts.seed, quick);
     deterministic = deterministic && r.reproducible && r.parallel_identical;
+    all_batch = all_batch && r.plans_executed > 0 &&
+                r.plans_executed == r.vectorized_plans;
+    std::fprintf(stderr,
+                 "bench_tpch_scale: SF=%.3g executed %lld plans, %lld on "
+                 "the batch engine\n",
+                 sf, static_cast<long long>(r.plans_executed),
+                 static_cast<long long>(r.vectorized_plans));
     rows.push_back({StrFormat("%.3g", r.sf),
                     StrFormat("%zu", r.lineitem_rows),
                     StrFormat("%.1f", r.gen_serial_ms),
@@ -209,12 +231,16 @@ int main() {
         "     \"tune_ms\": %.1f, \"queries\": %d, \"improved\": %d,\n"
         "     \"est_improvement_pct\": %.2f,\n"
         "     \"measured_improvement_pct\": %.2f,\n"
-        "     \"model_f1\": %.4f, \"optimizer_f1\": %.4f}%s\n",
+        "     \"model_f1\": %.4f, \"optimizer_f1\": %.4f,\n"
+        "     \"plans_executed\": %lld, \"vectorized_plans\": %lld}%s\n",
         r.sf, r.lineitem_rows, r.gen_serial_ms, r.gen_parallel_ms,
         r.reproducible ? "true" : "false",
         r.parallel_identical ? "true" : "false", r.tune_ms, r.queries,
         r.improved, r.est_improvement_pct, r.measured_improvement_pct,
-        r.model_f1, r.optimizer_f1, i + 1 < results.size() ? "," : "");
+        r.model_f1, r.optimizer_f1,
+        static_cast<long long>(r.plans_executed),
+        static_cast<long long>(r.vectorized_plans),
+        i + 1 < results.size() ? "," : "");
   }
   json += StrFormat("  ],\n  \"deterministic\": %s\n}\n",
                     deterministic ? "true" : "false");
@@ -228,6 +254,12 @@ int main() {
                  "FAIL: tpch_sf generation is not deterministic (same seed "
                  "must yield identical ContentFingerprints, serial or "
                  "parallel)\n");
+    return 1;
+  }
+  if (!all_batch) {
+    std::fprintf(stderr,
+                 "FAIL: executed plans fell back to the row engine (every "
+                 "optimizer plan must run on the batch engine)\n");
     return 1;
   }
   return 0;

@@ -256,6 +256,9 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
   // kTimedOut if the budget runs out. 0 (default) disables deadlines.
   const int64_t job_timeout_ms = std::strtoll(
       FlagOr(flags, "job-timeout-ms", "0").c_str(), nullptr, 10);
+  // Declared before the service so the databases outlive it: running
+  // jobs point into them until the service's destructor drains them.
+  std::vector<std::unique_ptr<BenchmarkDatabase>> dbs;
   auto service_or = TuningService::Create(
       ServiceOptions()
           .WithJobRunners(std::max(4, num_sessions))
@@ -279,7 +282,6 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
     service->models().Publish("pairwise", rf, DefaultFeaturizer());
   }
 
-  std::vector<std::unique_ptr<BenchmarkDatabase>> dbs;
   std::vector<Session*> sessions;
   for (int s = 0; s < num_sessions; ++s) {
     dbs.push_back(BuildDb(flags, "tpcds", seed + static_cast<uint64_t>(s)));
@@ -300,7 +302,10 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
   }
 
   // Submit everything up front (the queue interleaves sessions fairly),
-  // then harvest in deterministic order.
+  // then harvest in deterministic order. A refused submit counts as a
+  // failed job; the jobs already in flight still run to the end.
+  int improved = 0, regressed = 0, failed = 0;
+  size_t total = 0;
   std::vector<std::vector<std::shared_ptr<TuningJob>>> jobs(
       static_cast<size_t>(num_sessions));
   for (int s = 0; s < num_sessions; ++s) {
@@ -310,13 +315,13 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
       if (!job_or.ok()) {
         std::fprintf(stderr, "submit: %s\n",
                      job_or.status().ToString().c_str());
-        return 2;
+        ++failed;
+        ++total;
+        continue;
       }
       jobs[static_cast<size_t>(s)].push_back(job_or.value());
     }
   }
-  int improved = 0, regressed = 0, failed = 0;
-  size_t total = 0;
   for (int s = 0; s < num_sessions; ++s) {
     for (const auto& job : jobs[static_cast<size_t>(s)]) {
       job->Wait();

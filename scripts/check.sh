@@ -60,13 +60,18 @@ AIMAI_CHAOS_SEED=1337 ctest --test-dir build -L resilience \
 (cd build/bench && AIMAI_QUICK=1 ./bench_learning)
 # Scale-factor gate: tpch_sf generation must be deterministic (same seed
 # => identical per-table ContentFingerprints, pooled fill bit-identical
-# to serial) while a tuning round runs per query family (exits non-zero
-# on a determinism break; emits BENCH_tpch_scale.json).
+# to serial) while a tuning round runs per query family, and every plan
+# it executes must run on the batch engine — a deterministic count,
+# exec.plans_executed == exec.vectorized_plans (exits non-zero on a
+# determinism break or a row-engine fallback; emits
+# BENCH_tpch_scale.json).
 (cd build/bench && AIMAI_QUICK=1 ./bench_tpch_scale)
 # Vectorized execution gate: the columnar pipeline must beat the row
 # engine >= 3x on Q1/Q6-shaped lineitem plans while producing
 # bit-identical results, cardinalities, costs, and tuning
-# recommendations (exits non-zero otherwise; emits BENCH_exec.json).
+# recommendations; Q3/Q14-shaped join plans are cross-checked for
+# bit-identity too and report their speedup ungated (exits non-zero
+# otherwise; emits BENCH_exec.json).
 (cd build/bench && AIMAI_QUICK=1 ./bench_exec)
 # Traffic gate: 1024 open-loop sessions with a flash-crowd overload
 # window — shed accounting must balance exactly (engine, per tenant,

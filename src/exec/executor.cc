@@ -114,7 +114,7 @@ RowSet Executor::ExecuteAccess(PlanNode* node) {
 
   // Reserve from the optimizer's cardinality estimate (clamped to the table)
   // so the scan loop doesn't pay repeated vector growth.
-  out.tuples.reserve(static_cast<size_t>(
+  out.ids.reserve(static_cast<size_t>(
       std::max(0.0, std::min(node->stats.est_rows,
                              static_cast<double>(table.num_rows())))));
 
@@ -124,7 +124,7 @@ RowSet Executor::ExecuteAccess(PlanNode* node) {
       node->stats.actual_access_rows += static_cast<double>(table.num_rows());
       for (size_t r = 0; r < table.num_rows(); ++r) {
         if (RowMatchesBound(residual, r)) {
-          out.tuples.push_back({static_cast<uint32_t>(r)});
+          out.ids.push_back(static_cast<uint32_t>(r));
         }
       }
       break;
@@ -133,9 +133,7 @@ RowSet Executor::ExecuteAccess(PlanNode* node) {
       const BTreeIndex* idx = indexes_->GetOrBuild(node->index);
       node->stats.actual_access_rows += static_cast<double>(table.num_rows());
       for (uint32_t r : idx->ScanAll()) {
-        if (RowMatchesBound(residual, r)) {
-          out.tuples.push_back({r});
-        }
+        if (RowMatchesBound(residual, r)) out.ids.push_back(r);
       }
       break;
     }
@@ -145,9 +143,7 @@ RowSet Executor::ExecuteAccess(PlanNode* node) {
       const std::vector<uint32_t> hits = idx->SeekRange(range);
       node->stats.actual_access_rows += static_cast<double>(hits.size());
       for (uint32_t r : hits) {
-        if (RowMatchesBound(residual, r)) {
-          out.tuples.push_back({r});
-        }
+        if (RowMatchesBound(residual, r)) out.ids.push_back(r);
       }
       break;
     }
@@ -167,10 +163,8 @@ RowSet Executor::ExecuteInner(PlanNode* node, double outer_value,
       const auto residual = BindConjunction(*db_, table, node->residual_preds);
       RowSet filtered;
       filtered.tables = out.tables;
-      for (auto& t : out.tuples) {
-        if (RowMatchesBound(residual, t[0])) {
-          filtered.tuples.push_back(std::move(t));
-        }
+      for (uint32_t r : out.ids) {
+        if (RowMatchesBound(residual, r)) filtered.ids.push_back(r);
       }
       out = std::move(filtered);
       break;
@@ -191,12 +185,13 @@ RowSet Executor::ExecuteInner(PlanNode* node, double outer_value,
       const Table& table = db_->table(node->table_id);
       const auto residual = BindConjunction(*db_, table, node->residual_preds);
       out.tables = {node->table_id};
-      const std::vector<uint32_t> hits = idx->SeekRange(range);
+      // A NaN outer value equals no key, so its seek qualifies nothing.
+      const std::vector<uint32_t> hits =
+          outer_value == outer_value ? idx->SeekRange(range)
+                                     : std::vector<uint32_t>{};
       node->stats.actual_access_rows += static_cast<double>(hits.size());
       for (uint32_t r : hits) {
-        if (RowMatchesBound(residual, r)) {
-          out.tuples.push_back({r});
-        }
+        if (RowMatchesBound(residual, r)) out.ids.push_back(r);
       }
       break;
     }
@@ -207,8 +202,9 @@ RowSet Executor::ExecuteInner(PlanNode* node, double outer_value,
       out.tables = {node->table_id};
       node->stats.actual_access_rows += static_cast<double>(table.num_rows());
       for (size_t r = 0; r < table.num_rows(); ++r) {
-        if (jc.NumericAt(r) == outer_value && RowMatchesBound(residual, r)) {
-          out.tuples.push_back({static_cast<uint32_t>(r)});
+        if (JoinKeysEqual(jc.NumericAt(r), outer_value) &&
+            RowMatchesBound(residual, r)) {
+          out.ids.push_back(static_cast<uint32_t>(r));
         }
       }
       break;
@@ -246,10 +242,11 @@ ExecResult Executor::ExecuteNode(PlanNode* node) {
       const Table& table = db_->table(filter_table);
       const auto residual = BindConjunction(*db_, table, node->residual_preds);
       result.rows.tables = child.rows.tables;
-      result.rows.tuples.reserve(child.rows.tuples.size());
-      for (auto& t : child.rows.tuples) {
-        if (RowMatchesBound(residual, t[static_cast<size_t>(slot)])) {
-          result.rows.tuples.push_back(std::move(t));
+      result.rows.ids.reserve(child.rows.ids.size());
+      for (size_t t = 0; t < child.rows.size(); ++t) {
+        const uint32_t* tuple = child.rows.Tuple(t);
+        if (RowMatchesBound(residual, tuple[static_cast<size_t>(slot)])) {
+          result.rows.Append(tuple);
         }
       }
       break;
@@ -259,30 +256,20 @@ ExecResult Executor::ExecuteNode(PlanNode* node) {
       AIMAI_CHECK(!outer.is_agg);
       PlanNode* inner = node->child(1);
       // Inner nodes start fresh; ExecuteInner accumulates per rebind.
+      // Output layout: outer tables, then the inner chain's leaf table.
+      PlanNode* leaf = inner;
+      while (!leaf->children.empty()) leaf = leaf->child(0);
       RowSet& rows = result.rows;
       rows.tables = outer.rows.tables;
-      bool tables_set = false;
+      rows.tables.push_back(leaf->table_id);
       const ColumnRef outer_col = node->join.left;
       const int inner_join_col = node->join.right.column_id;
       for (size_t t = 0; t < outer.rows.size(); ++t) {
         const double v = TupleValue(*db_, outer.rows, outer_col, t);
-        RowSet matches = ExecuteInner(inner, v, inner_join_col);
-        if (!tables_set && !matches.tables.empty()) {
-          rows.tables.insert(rows.tables.end(), matches.tables.begin(),
-                             matches.tables.end());
-          tables_set = true;
+        const RowSet matches = ExecuteInner(inner, v, inner_join_col);
+        for (uint32_t m : matches.ids) {
+          rows.Append(outer.rows.Tuple(t), outer.rows.width(), &m, 1);
         }
-        for (const auto& m : matches.tuples) {
-          std::vector<uint32_t> tuple = outer.rows.tuples[t];
-          tuple.insert(tuple.end(), m.begin(), m.end());
-          rows.tuples.push_back(std::move(tuple));
-        }
-      }
-      if (!tables_set) {
-        // No outer tuple produced matches; recover inner table layout.
-        PlanNode* leaf = inner;
-        while (!leaf->children.empty()) leaf = leaf->child(0);
-        rows.tables.push_back(leaf->table_id);
       }
       break;
     }
@@ -331,7 +318,7 @@ ExecResult Executor::ExecuteNode(PlanNode* node) {
           child.agg.agg_values.resize(n);
         }
       } else {
-        if (child.rows.size() > n) child.rows.tuples.resize(n);
+        child.rows.Truncate(n);
       }
       result = std::move(child);
       break;

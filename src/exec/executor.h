@@ -9,9 +9,10 @@
 namespace aimai {
 
 /// Process-wide default engine for newly constructed Executors:
-/// `ExecMode::kBatch` selects the vectorized pipeline (with automatic row
-/// fallback for unsupported plan shapes), `ExecMode::kRow` forces the
-/// row-at-a-time engine everywhere (for bisection). Initialized from the
+/// `ExecMode::kBatch` selects the vectorized engine (every optimizer plan
+/// shape; malformed hand-built plans fall back to the row engine),
+/// `ExecMode::kRow` forces the row-at-a-time engine everywhere (for
+/// bisection, and as the parity oracle). Initialized from the
 /// `AIMAI_EXEC` environment variable ("row" or "vector"; default vector)
 /// and overridable at runtime (`aimai_cli --exec=...`).
 ExecMode DefaultExecMode();
@@ -30,10 +31,11 @@ KeyRange BuildSeekRange(const Database& db, const PlanNode& node);
 /// `ExecutionCostModel` from the actual cardinalities.
 ///
 /// Two engines sit behind `Execute`: the row-at-a-time interpreter below,
-/// and the columnar VectorizedExecutor for supported single-table
-/// pipelines. Both produce bit-identical results and actual statistics;
-/// `mode()` selects which one runs (default: the process-wide
-/// `DefaultExecMode()`).
+/// kept as the independent parity oracle, and the columnar
+/// VectorizedExecutor, which runs every plan shape the optimizer emits.
+/// Both produce bit-identical results (content and order) and actual
+/// statistics over the same flat RowSet; `mode()` selects which one runs
+/// (default: the process-wide `DefaultExecMode()`).
 class Executor {
  public:
   Executor(const Database* db, IndexManager* indexes)
@@ -54,7 +56,9 @@ class Executor {
 
   /// Executes the inner side of a nested-loop join for one outer value.
   /// Supported inner shapes: [Filter ->] [KeyLookup ->] IndexSeek, or
-  /// [Filter ->] TableScan. Accumulates stats into the inner nodes.
+  /// [Filter ->] TableScan. Accumulates stats into the inner nodes. A NaN
+  /// outer value matches nothing: a seek qualifies no rows, a scan still
+  /// examines the whole table.
   RowSet ExecuteInner(PlanNode* node, double outer_value, int join_col);
 
   const Database* db_;

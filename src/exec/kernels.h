@@ -75,18 +75,27 @@ size_t FilterGather(const ColumnView& col, const uint32_t* ids, size_t n,
 /// Writes begin, begin+1, ..., begin+n-1 into `out`.
 void Iota(uint32_t* out, uint32_t begin, size_t n);
 
+/// Gathers one slot of row-major tuples: `out[i] = ids[(first + i) *
+/// stride + slot]` for i < n. Turns a flat multi-table row set into the
+/// per-table row-id column the other kernels consume.
+void GatherSlot(const uint32_t* ids, size_t stride, size_t slot, size_t first,
+                size_t n, uint32_t* out);
+
 /// Sequential gather-accumulate sweep over selected rows, in id order, for
 /// one aggregate column: `*sum += v; *mn = min(*mn, v); *mx = max(*mx, v)`
 /// per row. Accumulation order and operations match the row engine's
 /// AggregateRows exactly, so results are FP-bit-identical; callers carry
 /// the accumulators across chunks rather than combining partial sums.
+/// Pass nullptr for the accumulators the caller does not read: exactly one
+/// of the three must be non-null.
 void AccumulateNumeric(const ColumnView& col, const uint32_t* ids, size_t n,
                        double* sum, double* mn, double* mx);
 
 /// Grouped variant: row i accumulates into slot `grp[i] * stride + offset`
 /// of the sums/mins/maxs arrays. Per slot, updates land for rows in id
 /// order — the identical sequence the row engine's per-row aggregate loop
-/// produces — so grouped sums stay FP-bit-identical.
+/// produces — so grouped sums stay FP-bit-identical. Null accumulator
+/// arrays are skipped, as in AccumulateNumeric.
 void AccumulateNumericGrouped(const ColumnView& col, const uint32_t* ids,
                               const uint32_t* grp, size_t n, size_t stride,
                               size_t offset, double* sums, double* mins,

@@ -21,7 +21,7 @@ double TupleValue(const Database& db, const RowSet& rs, ColumnRef col,
                   size_t t) {
   const int slot = rs.SlotOf(col.table_id);
   AIMAI_CHECK_MSG(slot >= 0, "column's table not in rowset");
-  const uint32_t row = rs.tuples[t][static_cast<size_t>(slot)];
+  const uint32_t row = rs.Tuple(t)[static_cast<size_t>(slot)];
   return db.table(col.table_id)
       .column(static_cast<size_t>(col.column_id))
       .NumericAt(row);
@@ -35,19 +35,22 @@ RowSet HashJoinRows(const Database& db, const RowSet& build,
   out.tables.insert(out.tables.end(), build.tables.begin(),
                     build.tables.end());
 
-  std::unordered_multimap<double, size_t> table;
+  // Each key keeps its build tuples in input order. NaN keys are left out
+  // (they can never compare equal); -0.0 and 0.0 share one entry because
+  // std::hash<double> must agree with ==.
+  std::unordered_map<double, std::vector<size_t>> table;
   table.reserve(build.size());
   for (size_t t = 0; t < build.size(); ++t) {
-    table.emplace(TupleValue(db, build, build_col, t), t);
+    const double v = TupleValue(db, build, build_col, t);
+    if (v != v) continue;
+    table[v].push_back(t);
   }
   for (size_t t = 0; t < probe.size(); ++t) {
-    const double v = TupleValue(db, probe, probe_col, t);
-    auto [lo, hi] = table.equal_range(v);
-    for (auto it = lo; it != hi; ++it) {
-      std::vector<uint32_t> tuple = probe.tuples[t];
-      const auto& bt = build.tuples[it->second];
-      tuple.insert(tuple.end(), bt.begin(), bt.end());
-      out.tuples.push_back(std::move(tuple));
+    auto it = table.find(TupleValue(db, probe, probe_col, t));
+    if (it == table.end()) continue;
+    for (size_t b : it->second) {
+      out.Append(probe.Tuple(t), probe.width(), build.Tuple(b),
+                 build.width());
     }
   }
   return out;
@@ -65,6 +68,8 @@ RowSet MergeJoinRows(const Database& db, const RowSet& left, ColumnRef left_col,
   while (i < n && j < m) {
     const double lv = TupleValue(db, left, left_col, i);
     const double rv = TupleValue(db, right, right_col, j);
+    // NaN keys sort last and match nothing: nothing further can join.
+    if (lv != lv || rv != rv) break;
     if (lv < rv) {
       ++i;
     } else if (lv > rv) {
@@ -79,10 +84,8 @@ RowSet MergeJoinRows(const Database& db, const RowSet& left, ColumnRef left_col,
       }
       for (size_t a = i; a < i_end; ++a) {
         for (size_t b = j; b < j_end; ++b) {
-          std::vector<uint32_t> tuple = left.tuples[a];
-          const auto& rt = right.tuples[b];
-          tuple.insert(tuple.end(), rt.begin(), rt.end());
-          out.tuples.push_back(std::move(tuple));
+          out.Append(left.Tuple(a), left.width(), right.Tuple(b),
+                     right.width());
         }
       }
       i = i_end;
@@ -109,24 +112,37 @@ void SortRows(const Database& db, RowSet* rs,
                         .column(static_cast<size_t>(k.col.column_id)),
                    static_cast<size_t>(slot), k.ascending});
   }
-  std::sort(rs->tuples.begin(), rs->tuples.end(),
-            [&acc](const std::vector<uint32_t>& a,
-                   const std::vector<uint32_t>& b) {
-              for (const KeyAccessor& k : acc) {
-                const double av = k.col->NumericAt(a[k.slot]);
-                const double bv = k.col->NumericAt(b[k.slot]);
-                if (av != bv) return k.ascending ? av < bv : av > bv;
-              }
-              return false;
-            });
+  std::vector<size_t> order(rs->size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&acc, rs](size_t a, size_t b) {
+                     const uint32_t* ta = rs->Tuple(a);
+                     const uint32_t* tb = rs->Tuple(b);
+                     for (const KeyAccessor& k : acc) {
+                       const double av = k.col->NumericAt(ta[k.slot]);
+                       const double bv = k.col->NumericAt(tb[k.slot]);
+                       if (SortKeyLess(av, bv)) return k.ascending;
+                       if (SortKeyLess(bv, av)) return !k.ascending;
+                     }
+                     return false;
+                   });
+  std::vector<uint32_t> sorted;
+  sorted.reserve(rs->ids.size());
+  for (size_t i : order) {
+    sorted.insert(sorted.end(), rs->Tuple(i), rs->Tuple(i) + rs->width());
+  }
+  rs->ids = std::move(sorted);
 }
 
 namespace {
 
+// Consistent with the key's `==`: -0.0 hashes as 0.0, so group identity
+// is exactly component-wise `==` (and a NaN key never finds a group).
 struct VecHash {
   size_t operator()(const std::vector<double>& v) const {
     size_t h = 1469598103934665603ULL;
-    for (double d : v) {
+    for (double x : v) {
+      const double d = x == 0 ? 0.0 : x;
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(d));
       std::memcpy(&bits, &d, sizeof(d));
@@ -219,8 +235,10 @@ AggResult AggregateRows(const Database& db, const RowSet& input,
 void SortAggResult(AggResult* agg) {
   std::vector<size_t> order(agg->size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [agg](size_t a, size_t b) {
-    return agg->group_keys[a] < agg->group_keys[b];
+  std::stable_sort(order.begin(), order.end(), [agg](size_t a, size_t b) {
+    return std::lexicographical_compare(
+        agg->group_keys[a].begin(), agg->group_keys[a].end(),
+        agg->group_keys[b].begin(), agg->group_keys[b].end(), SortKeyLess);
   });
   AggResult out;
   out.group_keys.reserve(agg->size());

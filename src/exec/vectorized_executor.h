@@ -11,34 +11,44 @@
 
 namespace aimai {
 
-/// Columnar batch engine for single-table plan pipelines. Processes
-/// candidate rows in selection-vector chunks of `kBatchRows`: leaf access
-/// (dense scan, index scan, or B+-tree seek) feeds branchless filter
-/// compaction kernels, which feed either a fused grouped aggregation sweep
-/// or a materialized id list for sort/top. Per-chunk scratch comes from a
-/// thread-local ExecArena, so the chunk loop performs zero heap
-/// allocations.
+/// Columnar batch engine for every plan shape the optimizer emits.
+///
+/// Each unary single-table segment — an access leaf (dense scan, index
+/// scan, or B+-tree seek) under any stack of KeyLookup / Filter nodes —
+/// runs as one fused loop over selection-vector chunks of `kBatchRows`:
+/// branchless filter compaction kernels feed either a fused grouped
+/// aggregation sweep or a materialized row-id list. Above segments,
+/// operators exchange flat `RowSet`s (one contiguous row-id array):
+/// hash joins build a flat key-id table with per-key runs and probe in
+/// chunks, index nested-loop joins seek once per distinct outer value,
+/// merge joins and sorts work over gathered key arrays. Per-chunk scratch
+/// comes from a thread-local ExecArena, so no operator allocates per row.
 ///
 /// Determinism contract: for every supported plan the engine produces
-/// results, per-node `actual_rows` / `actual_executions` /
-/// `actual_access_rows`, group orders, and aggregate values bit-identical
-/// to the row engine. Rows flow in the same global order as the row
-/// engine's tuple loop, filters are order-preserving compactions, and
-/// aggregates accumulate sequentially in row order per group with
-/// accumulators carried across chunks (never combined partial sums), so
-/// `ExecutionCostModel` and the tuner see indistinguishable signals.
+/// results (content and order), per-node `actual_rows` /
+/// `actual_executions` / `actual_access_rows` / `executed`, group orders,
+/// and aggregate values bit-identical to the row engine. Both engines
+/// share one definition of order: filters preserve input order, hash
+/// joins emit in probe order with build matches in build-input order,
+/// sorts are stable, and aggregates accumulate sequentially in row order
+/// per group with accumulators carried across chunks (never combined
+/// partial sums), so `ExecutionCostModel` and the tuner see
+/// indistinguishable signals.
 ///
-/// Unsupported shapes (joins, multi-table predicates) are reported by
-/// `CanExecute`; the Executor falls back to the row engine for those.
+/// `CanExecute` reports shapes outside that set (hand-built plans only);
+/// the Executor runs those on the row engine.
 class VectorizedExecutor {
  public:
   VectorizedExecutor(const Database* db, IndexManager* indexes)
       : db_(db), indexes_(indexes) {}
 
-  /// True iff the plan is a single-table unary chain the batch pipeline
-  /// supports: an access leaf under any stack of KeyLookup / Filter /
-  /// Sort / HashAggregate / StreamAggregate / Top nodes, with every
-  /// predicate and referenced column on the leaf's table.
+  /// True iff every node is a supported operator over well-formed input:
+  /// access leaves with predicates on their own table; KeyLookup, Filter
+  /// (predicates on one input table), Sort, aggregates and Top over
+  /// supported children; hash and merge joins whose key columns come from
+  /// the matching sides; and nested-loop joins whose inner side is
+  /// [Filter ->] [KeyLookup ->] IndexSeek (leading on the join column) or
+  /// [Filter ->] TableScan on the join's inner table.
   static bool CanExecute(const PlanNode& root);
 
   /// Executes a supported plan (caller must have checked CanExecute),

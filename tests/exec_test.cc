@@ -89,9 +89,9 @@ TEST(OperatorsTest, HashJoinMatchesMergeJoin) {
 
   RowSet left, right;
   left.tables = {0};
-  for (uint32_t i = 0; i < 200; ++i) left.tuples.push_back({i});
+  for (uint32_t i = 0; i < 200; ++i) left.ids.push_back(i);
   right.tables = {1};
-  for (uint32_t i = 0; i < 150; ++i) right.tuples.push_back({i});
+  for (uint32_t i = 0; i < 150; ++i) right.ids.push_back(i);
 
   const ColumnRef lk{0, 0};
   const ColumnRef rk{1, 0};
@@ -107,9 +107,9 @@ TEST(OperatorsTest, HashJoinMatchesMergeJoin) {
   // tuple layout is probe-then-build (right, left here since left=build).
   auto canon = [](const RowSet& rs, int lslot, int rslot) {
     std::multiset<std::pair<uint32_t, uint32_t>> out;
-    for (const auto& t : rs.tuples) {
-      out.insert({t[static_cast<size_t>(lslot)],
-                  t[static_cast<size_t>(rslot)]});
+    for (size_t t = 0; t < rs.size(); ++t) {
+      out.insert({rs.Tuple(t)[static_cast<size_t>(lslot)],
+                  rs.Tuple(t)[static_cast<size_t>(rslot)]});
     }
     return out;
   };
@@ -133,7 +133,7 @@ TEST(OperatorsTest, AggregateRowsComputesAllFunctions) {
 
   RowSet in;
   in.tables = {0};
-  for (uint32_t i = 0; i < 5; ++i) in.tuples.push_back({i});
+  for (uint32_t i = 0; i < 5; ++i) in.ids.push_back(i);
   const std::vector<AggItem> aggs = {{AggFunc::kCount, {}},
                                      {AggFunc::kSum, ColumnRef{0, 1}},
                                      {AggFunc::kAvg, ColumnRef{0, 1}},
