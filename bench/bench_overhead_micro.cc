@@ -21,6 +21,8 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
+#include "tuner/candidates.h"
+#include "workloads/tpcds_like.h"
 #include "workloads/tpch_like.h"
 
 using namespace aimai;
@@ -247,6 +249,42 @@ void BM_WhatIfUncached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WhatIfUncached);
+
+/// The miss shape that dominates model-gated tuning: an uncached what-if
+/// call on a 5-table star join of a TPC-DS-like scale-8 database, cycling
+/// through the single-index configurations its CandidateGenerator proposes
+/// (what one tuning round asks for).
+void BM_WhatIfUncachedStarJoin(benchmark::State& state) {
+  static auto* bdb = BuildTpcdsLike("micro_ds", 8, 0.8,
+                                    /*with_columnstore=*/false, 4243)
+                         .release();
+  const QuerySpec* star = nullptr;
+  for (const QuerySpec& q : bdb->queries()) {
+    if (q.tables.size() == 5) {
+      star = &q;
+      break;
+    }
+  }
+  if (star == nullptr) {
+    state.SkipWithError("no 5-table query in the TPC-DS-like workload");
+    return;
+  }
+  CandidateGenerator gen(bdb->db(), bdb->stats());
+  std::vector<Configuration> configs;
+  for (const IndexDef& idx : gen.Generate(*star, Configuration())) {
+    Configuration c;
+    c.Add(idx);
+    configs.push_back(std::move(c));
+  }
+  if (configs.empty()) configs.emplace_back();
+  size_t i = 0;
+  for (auto _ : state) {
+    bdb->what_if()->ClearCache();
+    benchmark::DoNotOptimize(bdb->what_if()->Optimize(*star, configs[i]));
+    i = (i + 1) % configs.size();
+  }
+}
+BENCHMARK(BM_WhatIfUncachedStarJoin);
 
 void RunWhatIfUncachedLoop(benchmark::State& state) {
   MicroState& s = MicroState::Get();

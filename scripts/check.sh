@@ -8,7 +8,8 @@
 #   TSAN=1 scripts/check.sh     # additionally build with -DAIMAI_SANITIZE=thread
 #                               # and run the concurrency-sensitive suites
 #                               # (obs, robustness, parallel, tuner,
-#                               # inference, service, resilience, learning)
+#                               # inference, service, resilience, learning,
+#                               # exec, traffic, optimizer)
 #                               # under ThreadSanitizer with an 8-thread pool
 #   ASAN=1 scripts/check.sh     # additionally run the full suite under
 #                               # ASan+UBSan (-DAIMAI_SANITIZE=ON)
@@ -41,6 +42,10 @@ ctest --test-dir build -L learning --output-on-failure -j
 # serial/parallel fill bit-identity, sorted dictionaries past 10^6
 # entries, FK integrity).
 ctest --test-dir build -L tpch_sf --output-on-failure -j
+# And the optimizer suite (the production enumerator must match the
+# build-every-candidate reference bit for bit on all four query families,
+# DP and greedy join ordering, serial and parallel plans).
+ctest --test-dir build -L optimizer --output-on-failure -j
 # And the open-loop traffic suite (arrival/schedule determinism, shed
 # accounting balance, SLO deadline escalation, runner-count
 # bit-identity, JobQueue aging).
@@ -105,8 +110,9 @@ if [[ "${TSAN:-0}" == "1" ]]; then
   # over the shared cache domain, registry, and runner fleet here.
   # resilience runs here too: the watchdog thread, runner fleet, and
   # journal interleave under injected faults with TSan watching.
+  # optimizer too: runner threads and the pool enumerate concurrently.
   AIMAI_THREADS=8 ctest --test-dir build-tsan \
-    -L 'obs|robustness|parallel|tuner|inference|service|resilience|learning|exec|traffic' \
+    -L 'obs|robustness|parallel|tuner|inference|service|resilience|learning|exec|traffic|optimizer' \
     --output-on-failure -j
 fi
 

@@ -106,6 +106,60 @@ bool IsBatchEligible(PhysOp op) {
 
 }  // namespace
 
+double RowCountCost(PhysOp op, double rows, double left_rows,
+                    double right_rows, const CostConstants& cc) {
+  double cost = 0;
+  switch (op) {
+    case PhysOp::kNestedLoopJoin: {
+      cost = left_rows * cc.nlj_outer;
+      break;
+    }
+    case PhysOp::kHashJoin: {
+      const double penalty = CachePenalty(cc.cache_effects, left_rows,
+                                          5000.0, cc.hash_penalty);
+      cost = (left_rows * cc.hj_build + right_rows * cc.hj_probe) * penalty +
+             rows * cc.join_output;
+      break;
+    }
+    case PhysOp::kMergeJoin: {
+      cost = (left_rows + right_rows) * cc.mj_input + rows * cc.join_output;
+      break;
+    }
+    case PhysOp::kSort: {
+      const double n = left_rows;
+      cost = n * cc.sort_row * std::log2(n + 2.0) *
+             CachePenalty(cc.cache_effects, n, 10000.0, cc.sort_penalty);
+      break;
+    }
+    case PhysOp::kHashAggregate: {
+      cost = left_rows * cc.hash_agg_row *
+                 CachePenalty(cc.cache_effects, rows, 5000.0,
+                              cc.hash_penalty) +
+             rows * cc.hash_agg_group;
+      break;
+    }
+    case PhysOp::kStreamAggregate: {
+      cost = left_rows * cc.stream_agg_row;
+      break;
+    }
+    case PhysOp::kTop: {
+      cost = rows * cc.top_row;
+      break;
+    }
+    default:
+      AIMAI_CHECK_MSG(false, "operator is not costed from row counts alone");
+  }
+  return cost;
+}
+
+double BatchDiscounted(PhysOp op, ExecMode mode, double cost,
+                       const CostConstants& cc) {
+  if (mode == ExecMode::kBatch && IsBatchEligible(op)) {
+    cost /= cc.batch_divisor;
+  }
+  return cost;
+}
+
 double NodeCost(const PlanNode& node, const Database& db,
                 const CostConstants& cc, bool use_actual, int dop) {
   const Cardinalities c = Extract(node, use_actual);
@@ -166,49 +220,13 @@ double NodeCost(const PlanNode& node, const Database& db,
       cost = c.child_rows[0] * cc.pred_eval * std::max(1.0, npreds);
       break;
     }
-    case PhysOp::kNestedLoopJoin: {
-      cost = c.child_rows[0] * cc.nlj_outer;
+    default:
+      cost = RowCountCost(node.op, c.rows, c.child_rows[0], c.child_rows[1],
+                          cc);
       break;
-    }
-    case PhysOp::kHashJoin: {
-      const double penalty = CachePenalty(cc.cache_effects, c.child_rows[0],
-                                          5000.0, cc.hash_penalty);
-      cost = (c.child_rows[0] * cc.hj_build +
-              c.child_rows[1] * cc.hj_probe) * penalty +
-             c.rows * cc.join_output;
-      break;
-    }
-    case PhysOp::kMergeJoin: {
-      cost = (c.child_rows[0] + c.child_rows[1]) * cc.mj_input +
-             c.rows * cc.join_output;
-      break;
-    }
-    case PhysOp::kSort: {
-      const double n = c.child_rows[0];
-      cost = n * cc.sort_row * std::log2(n + 2.0) *
-             CachePenalty(cc.cache_effects, n, 10000.0, cc.sort_penalty);
-      break;
-    }
-    case PhysOp::kHashAggregate: {
-      cost = c.child_rows[0] * cc.hash_agg_row *
-                 CachePenalty(cc.cache_effects, c.rows, 5000.0,
-                              cc.hash_penalty) +
-             c.rows * cc.hash_agg_group;
-      break;
-    }
-    case PhysOp::kStreamAggregate: {
-      cost = c.child_rows[0] * cc.stream_agg_row;
-      break;
-    }
-    case PhysOp::kTop: {
-      cost = c.rows * cc.top_row;
-      break;
-    }
   }
 
-  if (node.mode == ExecMode::kBatch && IsBatchEligible(node.op)) {
-    cost /= cc.batch_divisor;
-  }
+  cost = BatchDiscounted(node.op, node.mode, cost, cc);
   if (node.parallel && dop > 1) {
     cost = cost / (cc.parallel_efficiency * static_cast<double>(dop)) +
            c.rows * cc.exchange_row / static_cast<double>(dop);

@@ -65,6 +65,20 @@ struct CostConstants {
   CostConstants PerturbedForNode(uint64_t seed, double sigma = 0.25) const;
 };
 
+/// The own cost of an operator that reads nothing but cardinalities: the
+/// three joins, Sort, both aggregates and Top. `rows` is the node's output
+/// cardinality, `left_rows`/`right_rows` its children's (0 when absent).
+/// Serial, before the batch discount. NodeCost computes these operators
+/// through this function, so a candidate priced from its inputs' row
+/// counts and the same node once built agree bit for bit.
+double RowCountCost(PhysOp op, double rows, double left_rows,
+                    double right_rows, const CostConstants& cc);
+
+/// `cost` after the batch-mode discount an operator gets in `mode` (the
+/// discount NodeCost applies to every node's serial own cost).
+double BatchDiscounted(PhysOp op, ExecMode mode, double cost,
+                       const CostConstants& cc);
+
 /// Computes a single node's own cost from cardinalities. `use_actual`
 /// selects between the node's actual_* (execution simulation) and est_*
 /// (optimizer costing) statistics. Children must already carry their

@@ -54,8 +54,13 @@ double OptimizerCostModel::BytesProcessed(const PlanNode& node) const {
 }
 
 double OptimizerCostModel::AnnotateSubtree(PlanNode* node, int dop) const {
+  for (auto& c : node->children) AnnotateSubtree(c.get(), dop);
+  return AnnotateNode(node, dop);
+}
+
+double OptimizerCostModel::AnnotateNode(PlanNode* node, int dop) const {
   double subtree = 0;
-  for (auto& c : node->children) subtree += AnnotateSubtree(c.get(), dop);
+  for (const auto& c : node->children) subtree += c->stats.est_subtree_cost;
   node->stats.est_bytes = node->stats.est_rows * OutputWidth(*node);
   node->stats.est_bytes_processed = BytesProcessed(*node);
   node->stats.est_cost =

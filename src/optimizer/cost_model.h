@@ -27,6 +27,23 @@ class OptimizerCostModel {
   /// cost assuming the given dop.
   double AnnotateSubtree(PlanNode* node, int dop) const;
 
+  /// One step of AnnotateSubtree without the recursion: annotates `node`
+  /// over children that already carry their est_* fields, and returns its
+  /// est_subtree_cost (children summed left to right, then its own cost).
+  double AnnotateNode(PlanNode* node, int dop) const;
+
+  /// The serial own cost of a join, sort, aggregate or Top with output
+  /// cardinality `rows` over children of `left_rows`/`right_rows` — the
+  /// only fields such a node's cost reads — so a candidate can be priced
+  /// before (or instead of) being built. Equals the est_cost that
+  /// AnnotateNode gives the built node at dop 1, bit for bit.
+  double OwnCost(PhysOp op, ExecMode mode, double rows, double left_rows,
+                 double right_rows) const {
+    return BatchDiscounted(
+        op, mode, RowCountCost(op, rows, left_rows, right_rows, constants_),
+        constants_);
+  }
+
   const CostConstants& constants() const { return constants_; }
 
  private:

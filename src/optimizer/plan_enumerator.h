@@ -49,31 +49,42 @@ class PlanEnumerator {
                                          const Configuration& config);
 
  private:
+  /// Per-table inputs of access-path selection, computed once per
+  /// Optimize call and shared by the table's access path and the
+  /// nested-loop inners built on it.
+  struct TableInputs {
+    int table_id = -1;
+    std::vector<Predicate> preds;
+    std::vector<int> refcols;
+    std::vector<ColumnRef> ref_refs;
+    double table_rows = 0;
+    double filtered_rows = 0;
+  };
+
   struct AccessPath {
     std::unique_ptr<PlanNode> plan;
     double rows = 0;
   };
 
+  TableInputs GatherTableInputs(const QuerySpec& query, int table_id);
+
   /// Cheapest access path for one table given the configuration.
-  AccessPath BestAccessPath(const QuerySpec& query, int table_id,
+  AccessPath BestAccessPath(const TableInputs& table,
                             const Configuration& config);
 
-  /// Builds the parameterized inner side of a nested-loop join on
-  /// `join_col` of `table_id`, or nullptr if no viable inner exists.
-  std::unique_ptr<PlanNode> BuildNljInner(const QuerySpec& query,
-                                          int table_id, int join_col,
+  /// Cheapest parameterized inner for a nested-loop join on `join_col` of
+  /// `table` with `outer_rows` outer rows, annotated; null if none.
+  std::unique_ptr<PlanNode> BuildNljInner(const TableInputs& table,
+                                          int join_col,
                                           const Configuration& config,
                                           double outer_rows);
 
-  /// Join-order search over the access paths.
+  /// Join-order search over the access paths. Candidates are priced from
+  /// their inputs' cost, root rows and mode; only winners are built.
   std::unique_ptr<PlanNode> EnumerateJoins(
       const QuerySpec& query, const Configuration& config,
+      const std::vector<TableInputs>& tables,
       std::vector<AccessPath> base_paths, double* out_rows);
-
-  /// Builds one join node candidate (cloning children) and annotates it.
-  std::unique_ptr<PlanNode> MakeJoin(PhysOp op, const PlanNode& left,
-                                     const PlanNode& right, ColumnRef left_col,
-                                     ColumnRef right_col, double out_rows);
 
   /// Adds aggregation / ordering / top on top of the join tree.
   std::unique_ptr<PlanNode> FinishPlan(const QuerySpec& query,

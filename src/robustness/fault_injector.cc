@@ -31,6 +31,7 @@ const char* FaultPointName(FaultPoint point) {
 }
 
 void FaultInjector::Reset(uint64_t seed) {
+  std::lock_guard<std::mutex> lock(mu_);
   seed_ = seed;
   prob_.fill(0.0);
   forced_failures_.fill(0);
@@ -43,33 +44,36 @@ void FaultInjector::Reset(uint64_t seed) {
     streams_.emplace_back(seed + 0x9e3779b97f4a7c15ULL *
                                      static_cast<uint64_t>(p + 1));
   }
-  enabled_ = false;
+  enabled_.store(false, std::memory_order_relaxed);
 }
 
 void FaultInjector::set_probability(FaultPoint point, double prob) {
   AIMAI_CHECK(prob >= 0.0 && prob <= 1.0);
+  std::lock_guard<std::mutex> lock(mu_);
   prob_[Idx(point)] = prob;
   RefreshEnabled();
 }
 
 void FaultInjector::FailNext(FaultPoint point, int n) {
   AIMAI_CHECK(n >= 0);
+  std::lock_guard<std::mutex> lock(mu_);
   forced_failures_[Idx(point)] = n;
   RefreshEnabled();
 }
 
 void FaultInjector::RefreshEnabled() {
-  enabled_ = false;
+  bool enabled = false;
   for (int p = 0; p < kNumFaultPoints; ++p) {
     if (prob_[static_cast<size_t>(p)] > 0.0 ||
         forced_failures_[static_cast<size_t>(p)] > 0) {
-      enabled_ = true;
-      return;
+      enabled = true;
+      break;
     }
   }
+  enabled_.store(enabled, std::memory_order_relaxed);
 }
 
-bool FaultInjector::ShouldFailSlow(FaultPoint point) {
+bool FaultInjector::ShouldFailLocked(FaultPoint point) {
   const size_t i = Idx(point);
   ++checks_[i];
   if (forced_failures_[i] > 0) {
@@ -88,11 +92,16 @@ bool FaultInjector::ShouldFailSlow(FaultPoint point) {
 
 double FaultInjector::SpikeFactor(FaultPoint point, double min_factor,
                                   double max_factor) {
-  if (!ShouldFail(point)) return 1.0;
+  if (!enabled_.load(std::memory_order_relaxed)) return 1.0;
+  // The fire decision and the factor draw share one critical section, so
+  // the point's stream is consumed in one piece per call.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!ShouldFailLocked(point)) return 1.0;
   return streams_[Idx(point)].Uniform(min_factor, max_factor);
 }
 
 int64_t FaultInjector::total_injected() const {
+  std::lock_guard<std::mutex> lock(mu_);
   int64_t total = 0;
   for (int64_t n : injected_) total += n;
   return total;

@@ -2,8 +2,10 @@
 #define AIMAI_ROBUSTNESS_FAULT_INJECTOR_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/random.h"
@@ -37,8 +39,13 @@ const char* FaultPointName(FaultPoint point);
 /// are consulted: same seed + same per-point call sequence => same faults.
 ///
 /// A default-constructed injector is disabled; `ShouldFail` then costs one
-/// predictable branch, which is why the hooks can stay compiled in (see
-/// bench_robustness).
+/// relaxed atomic load and a predictable branch, which is why the hooks can
+/// stay compiled in (see bench_robustness).
+///
+/// Thread-safe: one injector may be shared by several runner threads (the
+/// chaos harness does). The armed path, the schedule setters and the
+/// counters are serialized by one mutex; per-point schedules stay
+/// deterministic for a given per-point call order.
 class FaultInjector {
  public:
   /// Disabled: every probability 0, nothing ever fails.
@@ -51,6 +58,7 @@ class FaultInjector {
   /// Arms `point` to fail with probability `prob` per check.
   void set_probability(FaultPoint point, double prob);
   double probability(FaultPoint point) const {
+    std::lock_guard<std::mutex> lock(mu_);
     return prob_[Idx(point)];
   }
 
@@ -62,8 +70,9 @@ class FaultInjector {
   /// Consults the fault point. Increments the check counter; returns true
   /// (and counts an injection) when the fault fires.
   bool ShouldFail(FaultPoint point) {
-    if (!enabled_) return false;
-    return ShouldFailSlow(point);
+    if (!enabled_.load(std::memory_order_relaxed)) return false;
+    std::lock_guard<std::mutex> lock(mu_);
+    return ShouldFailLocked(point);
   }
 
   /// Multiplicative disturbance for kCostNoiseSpike-style points: 1.0 when
@@ -72,16 +81,25 @@ class FaultInjector {
   double SpikeFactor(FaultPoint point, double min_factor = 2.0,
                      double max_factor = 8.0);
 
-  int64_t checks(FaultPoint point) const { return checks_[Idx(point)]; }
-  int64_t injected(FaultPoint point) const { return injected_[Idx(point)]; }
+  int64_t checks(FaultPoint point) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return checks_[Idx(point)];
+  }
+  int64_t injected(FaultPoint point) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return injected_[Idx(point)];
+  }
   int64_t total_injected() const;
 
  private:
   static size_t Idx(FaultPoint p) { return static_cast<size_t>(p); }
-  bool ShouldFailSlow(FaultPoint point);
+  // Both require `mu_` held.
+  bool ShouldFailLocked(FaultPoint point);
   void RefreshEnabled();
 
-  bool enabled_ = false;
+  mutable std::mutex mu_;
+  // Written under `mu_`; read without it on the disabled fast path.
+  std::atomic<bool> enabled_{false};
   uint64_t seed_ = 0;
   std::array<double, kNumFaultPoints> prob_{};
   std::array<int, kNumFaultPoints> forced_failures_{};

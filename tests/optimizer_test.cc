@@ -1,17 +1,26 @@
 // Unit tests for optimizer/: histograms, cardinality estimation, plan
-// enumeration invariants, what-if semantics.
+// enumeration invariants, what-if semantics, and bit-identity of the
+// production enumerator against the build-every-candidate reference.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <set>
+#include <thread>
 
 #include "optimizer/cardinality_estimator.h"
 #include "optimizer/histogram.h"
 #include "optimizer/plan_enumerator.h"
 #include "optimizer/what_if.h"
+#include "reference_enumerator.h"
 #include "storage/data_generator.h"
+#include "tuner/candidates.h"
+#include "workloads/customer.h"
 #include "workloads/query_helpers.h"
+#include "workloads/tpcds_like.h"
 #include "workloads/tpch_like.h"
+#include "workloads/tpch_sf.h"
 
 namespace aimai {
 namespace {
@@ -239,6 +248,47 @@ TEST(PlanEnumeratorTest, MoreIndexesNeverHurtEstimatedCost) {
   }
 }
 
+TEST(PlanEnumeratorTest, ConcurrentOptimizeMatchesSerial) {
+  // One enumerator serves every runner thread of a what-if optimizer:
+  // Optimize keeps its search state per call, so concurrent calls must
+  // return exactly the serial plans.
+  auto bdb = BuildTpcdsLike("enum_mt", 1, 0.8, false, 22);
+  PlanEnumerator enumerator(bdb->db(), bdb->stats());
+  CandidateGenerator candidates(bdb->db(), bdb->stats());
+  std::vector<std::pair<const QuerySpec*, Configuration>> work;
+  for (const QuerySpec& q : bdb->queries()) {
+    work.emplace_back(&q, Configuration());
+    for (const IndexDef& idx : candidates.Generate(q, Configuration())) {
+      Configuration c;
+      c.Add(idx);
+      work.emplace_back(&q, std::move(c));
+    }
+  }
+  std::vector<uint64_t> serial;
+  for (const auto& [q, config] : work) {
+    serial.push_back(enumerator.Optimize(*q, config)->ContentHash());
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<uint64_t>> got(kThreads,
+                                         std::vector<uint64_t>(work.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the work in a different rotation.
+      for (size_t k = 0; k < work.size(); ++k) {
+        const size_t i = (k + static_cast<size_t>(t) * 7) % work.size();
+        got[static_cast<size_t>(t)][i] =
+            enumerator.Optimize(*work[i].first, work[i].second)
+                ->ContentHash();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[static_cast<size_t>(t)], serial) << "thread " << t;
+  }
+}
+
 TEST(WhatIfTest, CacheKeyedByQueryAndConfig) {
   auto bdb = BuildTpchLike("wi", 1, 0.5, 19);
   const QuerySpec& q0 = bdb->queries()[0];
@@ -288,6 +338,137 @@ TEST(QuerySpecTest, ReferencedColumnsCoversAllClauses) {
   EXPECT_EQ(ord_cols.size(), 3u);  // custkey, orderkey, orderdate.
   const std::vector<int> li_cols = q.ReferencedColumns(li);
   EXPECT_EQ(li_cols.size(), 2u);  // orderkey, quantity.
+}
+
+// ------------------------------------------- reference enumerator oracle
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// Every node's est_* fields as bit patterns, in pre-order.
+std::vector<uint64_t> EstBits(const PhysicalPlan& plan) {
+  std::vector<uint64_t> out;
+  plan.root->Visit([&out](const PlanNode& n) {
+    const NodeStats& s = n.stats;
+    for (double v : {s.est_rows, s.est_executions, s.est_access_rows,
+                     s.est_bytes, s.est_bytes_processed, s.est_cost,
+                     s.est_subtree_cost}) {
+      out.push_back(Bits(v));
+    }
+  });
+  out.push_back(Bits(plan.est_total_cost));
+  return out;
+}
+
+struct OracleTally {
+  int plans = 0;
+  int multi_table_plans = 0;  // Plans over >= 3 tables (greedy at dp 2).
+  int parallel_plans = 0;
+  std::set<PhysOp> ops;
+};
+
+/// Optimizes every query of `bdb` with the production enumerator and the
+/// reference under its initial configuration and then through three greedy
+/// rounds over its CandidateGenerator candidates (each round adopts the
+/// candidate with the lowest estimated cost), asserting bit-identical plans
+/// and costs, and that re-annotating a clone of each plan reproduces every
+/// est_* bit.
+void ExpectMatchesReference(BenchmarkDatabase* bdb,
+                            PlanEnumerator::Options options,
+                            OracleTally* tally) {
+  PlanEnumerator production(bdb->db(), bdb->stats(), options);
+  testing_ref::ReferenceEnumerator reference(bdb->db(), bdb->stats(),
+                                             options);
+  const OptimizerCostModel cost_model(bdb->db());
+  CandidateGenerator candidates(bdb->db(), bdb->stats());
+  for (const QuerySpec& q : bdb->queries()) {
+    Configuration current = bdb->initial_config();
+    auto check = [&](const Configuration& config) {
+      const auto got = production.Optimize(q, config);
+      const auto want = reference.Optimize(q, config);
+      EXPECT_EQ(got->ContentHash(), want->ContentHash())
+          << bdb->name() << " " << q.name << " under "
+          << config.Fingerprint();
+      EXPECT_EQ(Bits(got->est_total_cost), Bits(want->est_total_cost))
+          << bdb->name() << " " << q.name;
+      const auto copy = got->Clone();
+      cost_model.Annotate(copy.get());
+      EXPECT_EQ(EstBits(*copy), EstBits(*got)) << bdb->name() << " " << q.name;
+      ++tally->plans;
+      if (q.tables.size() >= 3) ++tally->multi_table_plans;
+      if (got->degree_of_parallelism > 1) ++tally->parallel_plans;
+      got->root->Visit([tally](const PlanNode& n) { tally->ops.insert(n.op); });
+      return got->est_total_cost;
+    };
+    check(current);
+    const std::vector<IndexDef> cands = candidates.Generate(q, current);
+    for (int round = 0; round < 3; ++round) {
+      const IndexDef* adopt = nullptr;
+      double adopt_cost = 0;
+      for (const IndexDef& idx : cands) {
+        if (current.Contains(idx.CanonicalName())) continue;
+        Configuration next = current;
+        next.Add(idx);
+        const double cost = check(next);
+        if (adopt == nullptr || cost < adopt_cost) {
+          adopt = &idx;
+          adopt_cost = cost;
+        }
+      }
+      if (adopt == nullptr) break;
+      current.Add(*adopt);
+    }
+  }
+}
+
+/// Runs the oracle at default options, with greedy join ordering beyond
+/// two tables (max_dp_tables = 2, which no other test reaches), and with
+/// the parallel alternative costed for every plan (these small databases
+/// rarely cross the default threshold). `expect_parallel`: some plan must
+/// win with parallelism then (at tiny scales the startup cost never pays).
+void ExpectMatchesReferenceAllSearches(BenchmarkDatabase* bdb,
+                                       bool expect_parallel) {
+  OracleTally dp;
+  ExpectMatchesReference(bdb, PlanEnumerator::Options(), &dp);
+  EXPECT_GT(dp.plans, 0);
+  EXPECT_TRUE(dp.ops.count(PhysOp::kHashJoin) > 0) << bdb->name();
+  EXPECT_TRUE(dp.ops.count(PhysOp::kNestedLoopJoin) > 0) << bdb->name();
+
+  PlanEnumerator::Options greedy_options;
+  greedy_options.max_dp_tables = 2;
+  OracleTally greedy;
+  ExpectMatchesReference(bdb, greedy_options, &greedy);
+  EXPECT_EQ(greedy.plans, dp.plans);
+  EXPECT_GT(greedy.multi_table_plans, 0) << "greedy path not reached";
+
+  PlanEnumerator::Options parallel_options;
+  parallel_options.parallel_cost_threshold = 0;
+  OracleTally parallel;
+  ExpectMatchesReference(bdb, parallel_options, &parallel);
+  EXPECT_EQ(parallel.parallel_plans > 0, expect_parallel) << bdb->name();
+}
+
+TEST(PlanEnumeratorOracleTest, TpchMatchesReference) {
+  auto bdb = BuildTpchLike("oracle_h", 1, 0.9, 31);
+  ExpectMatchesReferenceAllSearches(bdb.get(), /*expect_parallel=*/true);
+}
+
+TEST(PlanEnumeratorOracleTest, TpcdsMatchesReference) {
+  // Columnstore fact tables put batch-mode inputs under the joins.
+  auto bdb = BuildTpcdsLike("oracle_ds", 1, 0.8, true, 32);
+  ExpectMatchesReferenceAllSearches(bdb.get(), /*expect_parallel=*/false);
+}
+
+TEST(PlanEnumeratorOracleTest, CustomerMatchesReference) {
+  auto bdb = BuildCustomer("oracle_c", CustomerProfileFor(4), 33);
+  ExpectMatchesReferenceAllSearches(bdb.get(), /*expect_parallel=*/true);
+}
+
+TEST(PlanEnumeratorOracleTest, TpchSfMatchesReference) {
+  TpchSfOptions options;
+  options.sf = 0.002;
+  options.seed = 34;
+  auto bdb = BuildTpchSf("oracle_sf", options);
+  ExpectMatchesReferenceAllSearches(bdb.get(), /*expect_parallel=*/true);
 }
 
 }  // namespace
