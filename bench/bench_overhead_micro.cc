@@ -131,8 +131,8 @@ void BM_PairFeaturization(benchmark::State& state) {
 }
 BENCHMARK(BM_PairFeaturization);
 
-// Predicate filtering, scalar vs batch kernel: the row engine evaluates
-// bound predicates row-at-a-time (RowMatchesBound); the vectorized engine
+// Predicate filtering, scalar vs batch kernel: a row-at-a-time loop
+// evaluates bound predicates per row (RowMatchesBound); the batch engine
 // sweeps the column's backing array with a branchless compare +
 // selection-vector compaction (FilterDense). Same predicate, same rows.
 struct FilterState {

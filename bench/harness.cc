@@ -7,6 +7,7 @@
 #include <set>
 
 #include "common/check.h"
+#include "common/stats.h"
 #include "obs/export.h"
 #include "obs/obs.h"
 
@@ -177,5 +178,23 @@ void PrintTable(const std::string& caption,
 }
 
 std::string F3(double v) { return StrFormat("%.3f", v); }
+
+PairedOverhead MeasurePairedOverhead(int pairs,
+                                     const std::function<double(bool)>& pass) {
+  AIMAI_CHECK(pairs > 0);
+  PairedOverhead out;
+  std::vector<double> ratios;
+  for (int r = 0; r < pairs; ++r) {
+    const double base1 = pass(false);
+    const double inst1 = pass(true);
+    const double inst2 = pass(true);
+    const double base2 = pass(false);
+    out.base_ms.push_back((base1 + base2) / 2);
+    out.instrumented_ms.push_back((inst1 + inst2) / 2);
+    ratios.push_back((inst1 + inst2) / (base1 + base2));
+  }
+  out.median_ratio = Median(std::move(ratios));
+  return out;
+}
 
 }  // namespace aimai::bench

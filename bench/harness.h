@@ -1,6 +1,7 @@
 #ifndef AIMAI_BENCH_HARNESS_H_
 #define AIMAI_BENCH_HARNESS_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -90,6 +91,26 @@ void PrintTable(const std::string& caption,
 
 /// Formats a double with 3 decimals.
 std::string F3(double v);
+
+/// Wall-time overhead of an instrumented configuration over its baseline,
+/// from interleaved pairs of timed passes.
+struct PairedOverhead {
+  std::vector<double> base_ms;          // Per pair, mean of its two passes.
+  std::vector<double> instrumented_ms;  // Per pair, mean of its two passes.
+  double median_ratio = 0;  // Median over pairs of instrumented / base.
+  double overhead_pct() const { return 100.0 * (median_ratio - 1.0); }
+};
+
+/// Runs `pairs` mirrored pairs of passes — base, instrumented,
+/// instrumented, base — with `pass(instrumented)` returning one pass's
+/// wall ms, and reports the median of the per-pair ratios. The mirror
+/// cancels a pass's position: a pass that runs right after another is
+/// several percent faster on a 4-core VM, which decides a 2% bar when
+/// each side always runs in the same slot. The median then discards the
+/// pairs a scheduler hiccup hit, where best-of-N compares two single
+/// lucky passes.
+PairedOverhead MeasurePairedOverhead(int pairs,
+                                     const std::function<double(bool)>& pass);
 
 }  // namespace aimai::bench
 

@@ -9,7 +9,7 @@
 #                               # and run the concurrency-sensitive suites
 #                               # (obs, robustness, parallel, tuner,
 #                               # inference, service, resilience, learning,
-#                               # exec, traffic, optimizer)
+#                               # exec, traffic, optimizer, determinism)
 #                               # under ThreadSanitizer with an 8-thread pool
 #   ASAN=1 scripts/check.sh     # additionally run the full suite under
 #                               # ASan+UBSan (-DAIMAI_SANITIZE=ON)
@@ -25,8 +25,9 @@ ctest --test-dir build -L obs --output-on-failure -j
 ctest --test-dir build -L parallel --output-on-failure -j
 # And the inference fast-path suite (bit-identity of batched predict).
 ctest --test-dir build -L inference --output-on-failure -j
-# And the execution-engine suite (vectorized-vs-row bit-identity of
-# results, actual cardinalities, and derived costs).
+# And the execution-engine suite (batch engine vs. the test reference
+# executor: bit-identity of results, actual cardinalities, and derived
+# costs).
 ctest --test-dir build -L exec --output-on-failure -j
 # And the service runtime suite (multi-session determinism, hot swap,
 # drain/checkpoint/resume).
@@ -56,28 +57,19 @@ ctest --test-dir build -L traffic --output-on-failure -j
 AIMAI_CHAOS_SEED=1337 ctest --test-dir build -L resilience \
   -R ChaosTest --output-on-failure
 # Resilience overhead gate: watchdog + deadlines + journal must cost < 2%
-# on a fault-free job stream (exits non-zero over the bar; emits
-# BENCH_resilience.json).
+# on a fault-free job stream, the median over mirrored pairs of passes
+# (exits non-zero over the bar; emits BENCH_resilience.json).
 (cd build/bench && AIMAI_QUICK=1 ./bench_resilience)
-# Learning gates: harvest overhead < 2% with bit-identical
-# recommendations, retrain completes, adapted holdout F1 >= offline
-# (exits non-zero over a bar; emits BENCH_learning.json).
+# Learning gates: harvest overhead < 2% (median over mirrored pairs of
+# passes) with bit-identical recommendations, retrain completes, adapted
+# holdout F1 >= offline (exits non-zero over a bar; emits
+# BENCH_learning.json).
 (cd build/bench && AIMAI_QUICK=1 ./bench_learning)
 # Scale-factor gate: tpch_sf generation must be deterministic (same seed
 # => identical per-table ContentFingerprints, pooled fill bit-identical
-# to serial) while a tuning round runs per query family, and every plan
-# it executes must run on the batch engine — a deterministic count,
-# exec.plans_executed == exec.vectorized_plans (exits non-zero on a
-# determinism break or a row-engine fallback; emits
-# BENCH_tpch_scale.json).
+# to serial) while a tuning round runs per query family (exits non-zero
+# on a determinism break; emits BENCH_tpch_scale.json).
 (cd build/bench && AIMAI_QUICK=1 ./bench_tpch_scale)
-# Vectorized execution gate: the columnar pipeline must beat the row
-# engine >= 3x on Q1/Q6-shaped lineitem plans while producing
-# bit-identical results, cardinalities, costs, and tuning
-# recommendations; Q3/Q14-shaped join plans are cross-checked for
-# bit-identity too and report their speedup ungated (exits non-zero
-# otherwise; emits BENCH_exec.json).
-(cd build/bench && AIMAI_QUICK=1 ./bench_exec)
 # Traffic gate: 1024 open-loop sessions with a flash-crowd overload
 # window — shed accounting must balance exactly (engine, per tenant,
 # and admission controller) and the steady phase at half capacity must
@@ -111,8 +103,10 @@ if [[ "${TSAN:-0}" == "1" ]]; then
   # resilience runs here too: the watchdog thread, runner fleet, and
   # journal interleave under injected faults with TSan watching.
   # optimizer too: runner threads and the pool enumerate concurrently.
+  # determinism too: its thread-count, multi-session and learning-loop
+  # guards and the tuned-plan reference sweep run real fan-out.
   AIMAI_THREADS=8 ctest --test-dir build-tsan \
-    -L 'obs|robustness|parallel|tuner|inference|service|resilience|learning|exec|traffic|optimizer' \
+    -L 'obs|robustness|parallel|tuner|inference|service|resilience|learning|exec|traffic|optimizer|determinism' \
     --output-on-failure -j
 fi
 

@@ -12,7 +12,7 @@ namespace aimai {
 /// Flattened, branch-free form of NumericBounds for the batch filter
 /// kernels. `Pass` mirrors `NumericBounds::Contains` bit-for-bit —
 /// including its NaN behavior (NaN compares false against both ends, so a
-/// NaN cell passes every bound, exactly as in the row engine) — but with
+/// NaN cell passes every bound, exactly as `RowMatchesBound`) — but with
 /// the short-circuiting `if`s replaced by data-parallel mask arithmetic so
 /// the compiler can vectorize the compaction loop.
 struct BoundsSpec {
@@ -83,8 +83,8 @@ void GatherSlot(const uint32_t* ids, size_t stride, size_t slot, size_t first,
 
 /// Sequential gather-accumulate sweep over selected rows, in id order, for
 /// one aggregate column: `*sum += v; *mn = min(*mn, v); *mx = max(*mx, v)`
-/// per row. Accumulation order and operations match the row engine's
-/// AggregateRows exactly, so results are FP-bit-identical; callers carry
+/// per row. Accumulation order and operations match a per-row aggregate
+/// loop exactly, so results are FP-bit-identical; callers carry
 /// the accumulators across chunks rather than combining partial sums.
 /// Pass nullptr for the accumulators the caller does not read: exactly one
 /// of the three must be non-null.
@@ -93,8 +93,7 @@ void AccumulateNumeric(const ColumnView& col, const uint32_t* ids, size_t n,
 
 /// Grouped variant: row i accumulates into slot `grp[i] * stride + offset`
 /// of the sums/mins/maxs arrays. Per slot, updates land for rows in id
-/// order — the identical sequence the row engine's per-row aggregate loop
-/// produces — so grouped sums stay FP-bit-identical. Null accumulator
+/// order — the identical sequence a per-row aggregate loop produces — so grouped sums stay FP-bit-identical. Null accumulator
 /// arrays are skipped, as in AccumulateNumeric.
 void AccumulateNumericGrouped(const ColumnView& col, const uint32_t* ids,
                               const uint32_t* grp, size_t n, size_t stride,

@@ -21,15 +21,6 @@ std::vector<std::unique_ptr<BenchmarkDatabase>> BuildBenchmarkSuite(
 std::vector<std::unique_ptr<BenchmarkDatabase>> BuildSmallSuite(
     uint64_t seed);
 
-/// DEPRECATED — thin shim over `QueryStreamRegistry::Global()` (see
-/// workloads/query_stream.h); will be removed one release after the
-/// traffic-engine PR. Use `MakePreparedQueryStream(spec)` +
-/// `TakeDatabase()` instead. Resolves "tpch" / "tpcds" / "customerN" /
-/// "tpch_sf" / "synthetic" through the registry; returns nullptr for an
-/// unknown kind or an invalid spec.
-std::unique_ptr<BenchmarkDatabase> BuildWorkloadByName(
-    const std::string& kind, int scale, double sf, uint64_t seed);
-
 /// Execution-data collection (§7.3 protocol): for every query, obtain the
 /// tuner's index recommendation (optimizer-driven, no ML), enumerate
 /// random subsets of the recommended indexes as configurations, implement

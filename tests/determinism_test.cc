@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
@@ -11,6 +13,7 @@
 #include "tuner/batched_comparator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "reference_executor.h"
 #include "service/learning/learning_loop.h"
 #include "service/service.h"
 #include "tuner/continuous_tuner.h"
@@ -200,42 +203,45 @@ TEST(DeterminismTest, ObservabilityDoesNotPerturbResults) {
   EXPECT_EQ(off, on);
 }
 
-// The vectorized engine's contract: continuous-tuning recommendations,
-// measured costs, and every iteration's decision are bit-identical
-// whether query executions run through the columnar batch pipeline or
-// the row-at-a-time interpreter. Execution feeds the tuner's labels, so
-// engine choice must be unobservable end to end.
-TEST(DeterminismTest, VectorizedTuningMatchesRowEngine) {
-  auto run = [](ExecMode mode) {
-    // Fresh same-seed database per run: no cache state crosses over.
-    auto bdb = BuildTpchLike("dvec", 1, 0.9, 77);
-    TuningEnv env = bdb->MakeEnv(0);
-    env.executor->set_mode(mode);
-    CandidateGenerator candidates(bdb->db(), bdb->stats());
-    ContinuousTuner::Options topts;
-    topts.iterations = 2;
-    ContinuousTuner tuner(&env, &candidates, topts);
-    ContinuousTuner::ComparatorFactory factory =
-        []() -> std::unique_ptr<CostComparator> {
-      return std::make_unique<OptimizerComparator>(0.0, 0.2);
-    };
-    std::string out;
-    for (size_t qi = 0; qi < 5 && qi < bdb->queries().size(); ++qi) {
-      const auto trace = tuner.TuneQuery(bdb->queries()[qi],
-                                         bdb->initial_config(), factory,
-                                         nullptr, nullptr);
-      out += StrFormat("|%s:init=%.17g:final=%.17g",
-                       trace.query_name.c_str(), trace.initial_cost,
-                       trace.final_cost);
-      out += "|" + trace.final_config.Fingerprint();
-      for (const auto& it : trace.iterations) {
-        out += StrFormat("|it%d:%.17g:%d", it.iteration, it.measured_cost,
-                         it.regressed ? 1 : 0);
-      }
-    }
-    return out;
+// The executor's contract on the plans a tuning run measures: the run's
+// baseline and every iteration's recommended configuration, executed
+// during tuning, carry actual stats bit-identical to the row-at-a-time
+// reference's, and a fresh execution matches the reference in results
+// (order included), stats, and ComputeActualCost. Execution feeds the
+// tuner's labels, so any divergence would steer the recommendations.
+TEST(DeterminismTest, TunedPlansMatchReferenceExecutor) {
+  auto bdb = BuildTpchLike("dvec", 1, 0.9, 77);
+  TuningEnv env = bdb->MakeEnv(0);
+  CandidateGenerator candidates(bdb->db(), bdb->stats());
+  ContinuousTuner::Options topts;
+  topts.iterations = 2;
+  ContinuousTuner tuner(&env, &candidates, topts);
+  ContinuousTuner::ComparatorFactory factory =
+      []() -> std::unique_ptr<CostComparator> {
+    return std::make_unique<OptimizerComparator>(0.0, 0.2);
   };
-  EXPECT_EQ(run(ExecMode::kRow), run(ExecMode::kBatch));
+  // The repository receives every measured plan: each query's baseline
+  // under the initial configuration, then each iteration's recommendation.
+  ExecutionDataRepository repo;
+  const size_t queries = std::min<size_t>(5, bdb->queries().size());
+  for (size_t qi = 0; qi < queries; ++qi) {
+    tuner.TuneQuery(bdb->queries()[qi], bdb->initial_config(), factory,
+                    &repo, nullptr);
+  }
+  ASSERT_GT(repo.num_plans(), queries);  // Iterations measured something.
+  for (size_t id = 0; id < repo.num_plans(); ++id) {
+    const ExecutedPlan& rec = repo.plan(static_cast<int>(id));
+    const std::string context = rec.query_name + " @ " + rec.config_fp;
+    const auto ref = testing_ref::ExpectMatchesReference(
+        *bdb->db(), bdb->indexes(), *rec.plan, context);
+    EXPECT_EQ(testing_ref::SnapshotStats(*rec.plan->root),
+              testing_ref::SnapshotStats(*ref->root))
+        << context;
+    // The measured cost under the database's own cost calibration.
+    EXPECT_EQ(rec.plan->actual_total_cost,
+              bdb->exec_cost()->ComputeActualCost(ref.get()))
+        << context;
+  }
 }
 
 // The parallel tuning engine's contract: recommendations, estimated

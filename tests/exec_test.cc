@@ -1,6 +1,7 @@
-// Unit & property tests for exec/: predicate resolution, join operators
-// against oracles, executor correctness vs. a naive evaluator on random
-// queries and configurations, and the execution cost model.
+// Unit & property tests for exec/: predicate resolution, the reference
+// executor's operators against oracles, executor and reference executor
+// correctness vs. a naive evaluator on random queries and configurations,
+// and the execution cost model.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "exec/execution_cost.h"
 #include "exec/executor.h"
 #include "optimizer/plan_enumerator.h"
+#include "reference_executor.h"
 #include "storage/data_generator.h"
 #include "tuner/candidates.h"
 #include "workloads/customer.h"
@@ -18,6 +20,12 @@
 
 namespace aimai {
 namespace {
+
+using testing_ref::AggregateRows;
+using testing_ref::HashJoinRows;
+using testing_ref::MergeJoinRows;
+using testing_ref::ReferenceExecute;
+using testing_ref::SortRows;
 
 TEST(ExpressionTest, ResolveOperators) {
   Database db("d");
@@ -213,9 +221,12 @@ NaiveResult NaiveEvaluate(const Database& db, const QuerySpec& q) {
   return out;
 }
 
-// Property test: the optimizer's chosen plan, executed, produces exactly
-// the naive evaluator's result — across random configurations (different
-// configurations exercise different operators on the same query).
+// Property test: the optimizer's chosen plan, executed by the executor and
+// by the reference executor, produces exactly the naive evaluator's result
+// — across random configurations (different configurations exercise
+// different operators on the same query). The reference's own counts are
+// pinned here; exec_batch_test pins the executor to the reference bit for
+// bit.
 class ExecutorProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ExecutorProperty, PlanResultMatchesNaiveEvaluator) {
@@ -242,26 +253,33 @@ TEST_P(ExecutorProperty, PlanResultMatchesNaiveEvaluator) {
     const auto plan = bdb->what_if()->Optimize(q, config);
     auto owned = plan->Clone();
     Executor exec(bdb->db(), bdb->indexes());
-    const ExecResult result = exec.Execute(owned.get());
+    const ExecResult executed = exec.Execute(owned.get());
+    auto ref_owned = plan->Clone();
+    const ExecResult referenced =
+        ReferenceExecute(*bdb->db(), bdb->indexes(), ref_owned.get());
 
     const NaiveResult naive = NaiveEvaluate(*bdb->db(), q);
-    if (q.HasAggregation() && !q.group_by.empty()) {
-      // Number of groups must match; each group's COUNT must match when
-      // COUNT is among the aggregates.
-      size_t expected_groups =
-          std::min<size_t>(naive.group_counts.size(),
-                           q.top_n > 0 ? static_cast<size_t>(q.top_n)
-                                       : naive.group_counts.size());
-      ASSERT_TRUE(result.is_agg);
-      EXPECT_EQ(result.agg.size(), expected_groups)
-          << q.ToString(*bdb->db());
-    } else if (!q.HasAggregation()) {
-      size_t expected = naive.join_rows;
-      if (q.top_n > 0) {
-        expected = std::min(expected, static_cast<size_t>(q.top_n));
+    for (const ExecResult* result : {&executed, &referenced}) {
+      const char* engine = result == &executed ? "executor" : "reference";
+      if (q.HasAggregation() && !q.group_by.empty()) {
+        // Number of groups must match; each group's COUNT must match when
+        // COUNT is among the aggregates.
+        size_t expected_groups =
+            std::min<size_t>(naive.group_counts.size(),
+                             q.top_n > 0 ? static_cast<size_t>(q.top_n)
+                                         : naive.group_counts.size());
+        ASSERT_TRUE(result->is_agg) << engine;
+        EXPECT_EQ(result->agg.size(), expected_groups)
+            << engine << ": " << q.ToString(*bdb->db());
+      } else if (!q.HasAggregation()) {
+        size_t expected = naive.join_rows;
+        if (q.top_n > 0) {
+          expected = std::min(expected, static_cast<size_t>(q.top_n));
+        }
+        ASSERT_FALSE(result->is_agg) << engine;
+        EXPECT_EQ(result->rows.size(), expected)
+            << engine << ": " << q.ToString(*bdb->db());
       }
-      ASSERT_FALSE(result.is_agg);
-      EXPECT_EQ(result.rows.size(), expected) << q.ToString(*bdb->db());
     }
   }
 }

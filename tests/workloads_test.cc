@@ -144,26 +144,36 @@ TEST(CollectionTest, SameQueryDifferentConfigsShareGroup) {
   EXPECT_GT(multi, 10);
 }
 
-TEST(RegistryTest, BuildWorkloadByNameDispatches) {
-  auto tpch = BuildWorkloadByName("tpch", 1, 0.0, 81);
+TEST(RegistryTest, PreparedStreamsDispatchEveryBuiltinKind) {
+  auto build = [](const std::string& kind, int scale, double sf,
+                  uint64_t seed) -> std::unique_ptr<BenchmarkDatabase> {
+    auto gen = MakePreparedQueryStream(QueryStreamSpec()
+                                           .WithKind(kind)
+                                           .WithScale(scale)
+                                           .WithSf(sf)
+                                           .WithSeed(seed));
+    if (!gen.ok()) return nullptr;
+    return (*gen)->TakeDatabase();
+  };
+  auto tpch = build("tpch", 1, 0.0, 81);
   ASSERT_NE(tpch, nullptr);
   EXPECT_GE(tpch->db()->FindTable("lineitem"), 0);
 
-  auto tpcds = BuildWorkloadByName("tpcds", 1, 0.0, 82);
+  auto tpcds = build("tpcds", 1, 0.0, 82);
   ASSERT_NE(tpcds, nullptr);
   EXPECT_GE(tpcds->db()->FindTable("store_sales"), 0);
 
-  auto customer = BuildWorkloadByName("customer3", 1, 0.0, 83);
+  auto customer = build("customer3", 1, 0.0, 83);
   ASSERT_NE(customer, nullptr);
   EXPECT_FALSE(customer->queries().empty());
 
   // tpch_sf honors the fractional scale factor, not `scale`.
-  auto sf = BuildWorkloadByName("tpch_sf", 99, 0.001, 84);
+  auto sf = build("tpch_sf", 99, 0.001, 84);
   ASSERT_NE(sf, nullptr);
   EXPECT_EQ(sf->db()->table(sf->db()->FindTable("lineitem")).num_rows(),
             6000u);
 
-  EXPECT_EQ(BuildWorkloadByName("no_such_kind", 1, 0.01, 85), nullptr);
+  EXPECT_EQ(build("no_such_kind", 1, 0.01, 85), nullptr);
 }
 
 TEST(RegistryTest, KnowsAndKindsCoverEveryBuiltinFamily) {
@@ -203,27 +213,6 @@ TEST(RegistryTest, ExternalKindsRegisterOnceAndDispatch) {
       MakePreparedQueryStream(QueryStreamSpec().WithKind("wt_custom"));
   ASSERT_TRUE(gen.ok()) << gen.status().ToString();
   EXPECT_EQ((*gen)->database()->name(), "wt_custom_db");
-}
-
-TEST(RegistryTest, ShimAndRegistryProduceBitIdenticalDatabases) {
-  auto shim = BuildWorkloadByName("tpch", 1, 0.0, 91);
-  ASSERT_NE(shim, nullptr);
-  auto gen = MakePreparedQueryStream(
-      QueryStreamSpec().WithKind("tpch").WithScale(1).WithSeed(91));
-  ASSERT_TRUE(gen.ok()) << gen.status().ToString();
-  auto direct = (*gen)->TakeDatabase();
-  ASSERT_NE(direct, nullptr);
-  EXPECT_EQ(shim->name(), direct->name());
-  ASSERT_EQ(shim->db()->num_tables(), direct->db()->num_tables());
-  for (int t = 0; t < shim->db()->num_tables(); ++t) {
-    EXPECT_EQ(shim->db()->table(t).ContentFingerprint(),
-              direct->db()->table(t).ContentFingerprint())
-        << shim->db()->table(t).name();
-  }
-  ASSERT_EQ(shim->queries().size(), direct->queries().size());
-  for (size_t q = 0; q < shim->queries().size(); ++q) {
-    EXPECT_EQ(shim->queries()[q].name, direct->queries()[q].name);
-  }
 }
 
 TEST(QueryStreamTest, DdlListsEveryTable) {
