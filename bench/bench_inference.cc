@@ -1,28 +1,20 @@
-// Inference fast path: ns/row for every classifier family along three
-// paths — the legacy node-chasing / allocating scalar path, the
-// zero-allocation scalar primitive (PredictProbaInto), and the batched
-// entry point (PredictBatch over compiled SoA forests or blocked matrix
-// passes) — plus the end-to-end effect on tuning wall time with the
-// batched ClassifierComparator. Bit-identity between paths is verified
-// on the fly; diverging outputs fail the run.
-//
-// Acceptance bars (nonzero exit on failure):
-//   - RF and GBT batched predict >= 3x over the legacy scalar path on a
-//     >= 1k-row batch;
-//   - scalar and batched tuning produce identical recommendations.
+// Inference fast path: ns/row for every classifier family along two
+// paths — the legacy node-chasing / allocating scalar path and the
+// zero-allocation compiled primitive (PredictProbaInto). Bit-identity
+// between the paths is verified on the fly; diverging outputs fail the
+// run (nonzero exit).
 //
 // Emits machine-readable results to BENCH_inference.json (ns/row per
-// model and path, speedups, tuning wall times) in the working directory.
+// model and path) in the working directory.
 //
-// Knobs: AIMAI_QUICK=1 shrinks the batch and repeats; AIMAI_SEED=<n>.
+// Knobs: AIMAI_QUICK=1 shrinks the row set and repeats; AIMAI_SEED=<n>.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "harness.h"
 #include "ml/gbt.h"
 #include "ml/hist_gbt.h"
@@ -30,8 +22,6 @@
 #include "ml/neural_net.h"
 #include "ml/random_forest.h"
 #include "robustness/atomic_file.h"
-#include "tuner/batched_comparator.h"
-#include "tuner/workload_tuner.h"
 #include "workloads/tpch_like.h"
 
 using namespace aimai;
@@ -43,8 +33,6 @@ struct PathTimes {
   std::string name;
   double scalar_ns = 0;       // Legacy path (node-chasing / allocating).
   double fast_scalar_ns = 0;  // PredictProbaInto, zero-alloc.
-  double batch_ns = 0;        // PredictBatch.
-  double speedup() const { return scalar_ns / batch_ns; }
 };
 
 double NowMs() {
@@ -53,7 +41,7 @@ double NowMs() {
       .count();
 }
 
-/// One wall-time measurement of `fn` over the whole batch, in ns/row.
+/// One wall-time measurement of `fn` over all `rows`, in ns/row.
 template <typename Fn>
 double OneNsPerRow(size_t rows, const Fn& fn) {
   const double t0 = NowMs();
@@ -61,24 +49,10 @@ double OneNsPerRow(size_t rows, const Fn& fn) {
   return (NowMs() - t0) * 1e6 / static_cast<double>(rows);
 }
 
-/// Exact comparison of the batched output against the zero-alloc scalar
-/// primitive — the fast path's contract is bit-identity, not closeness.
-bool BatchMatchesScalar(const Classifier& model, const double* rows, size_t n,
-                        size_t dim, const std::vector<double>& batch_out) {
-  const size_t k = static_cast<size_t>(model.num_classes());
-  std::vector<double> one(k);
-  for (size_t i = 0; i < n; ++i) {
-    model.PredictProbaInto(rows + i * dim, one.data());
-    for (size_t c = 0; c < k; ++c) {
-      if (one[c] != batch_out[i * k + c]) return false;
-    }
-  }
-  return true;
-}
-
-/// Times the three inference paths for one model. `legacy` runs the
-/// pre-compilation path for row i (node-chasing scalar for the tree
-/// ensembles, the allocating wrapper for LR / the DNN).
+/// Times the two inference paths for one model and checks them for
+/// bit-identity — the compiled path's contract, not closeness. `legacy`
+/// returns the pre-compilation result for one row (node-chasing scalar
+/// for the tree ensembles, the allocating wrapper for LR / the DNN).
 template <typename LegacyFn>
 PathTimes TimeModel(const std::string& name, const Classifier& model,
                     const std::vector<double>& rows, size_t n, size_t dim,
@@ -88,9 +62,9 @@ PathTimes TimeModel(const std::string& name, const Classifier& model,
   const size_t k = static_cast<size_t>(model.num_classes());
   std::vector<double> out(n * k);
 
-  // The three paths are measured back-to-back within each round (and the
-  // best round wins) so a noisy-neighbour burst on a shared machine hits
-  // all of them, not just whichever path happened to run during it.
+  // Both paths are measured back-to-back within each round (and the best
+  // round wins) so a noisy-neighbour burst on a shared machine hits both
+  // of them, not just whichever path happened to run during it.
   for (int rep = 0; rep < repeats; ++rep) {
     const double scalar = OneNsPerRow(n, [&] {
       for (size_t i = 0; i < n; ++i) legacy(rows.data() + i * dim);
@@ -100,55 +74,33 @@ PathTimes TimeModel(const std::string& name, const Classifier& model,
         model.PredictProbaInto(rows.data() + i * dim, out.data() + i * k);
       }
     });
-    const double batch = OneNsPerRow(
-        n, [&] { model.PredictBatch(rows.data(), n, dim, out.data()); });
     if (rep == 0 || scalar < t.scalar_ns) t.scalar_ns = scalar;
     if (rep == 0 || fast_scalar < t.fast_scalar_ns) {
       t.fast_scalar_ns = fast_scalar;
     }
-    if (rep == 0 || batch < t.batch_ns) t.batch_ns = batch;
   }
-  *identical =
-      *identical && BatchMatchesScalar(model, rows.data(), n, dim, out);
+  for (size_t i = 0; i < n; ++i) {
+    const std::vector<double> want = legacy(rows.data() + i * dim);
+    if (!std::equal(want.begin(), want.end(), out.begin() + i * k)) {
+      *identical = false;
+      break;
+    }
+  }
   return t;
 }
 
-double TimeTuneMs(BenchmarkDatabase* bdb, const std::vector<WorkloadQuery>& wl,
-                  const CostComparator& cmp, int threads,
-                  std::string* fingerprint) {
-  // A fresh optimizer per run: both comparators pay the same cold what-if
-  // cache, so the comparison isolates comparator inference.
-  WhatIfOptimizer what_if(bdb->db(), bdb->stats());
-  CandidateGenerator gen(bdb->db(), bdb->stats());
-  ThreadPool pool(threads);
-  WorkloadLevelTuner::Options o;
-  o.pool = &pool;
-  WorkloadLevelTuner tuner(bdb->db(), &what_if, &gen, o);
-  const double t0 = NowMs();
-  const WorkloadTuningResult r = tuner.Tune(wl, bdb->initial_config(), cmp);
-  const double ms = NowMs() - t0;
-  *fingerprint = r.recommended.Fingerprint();
-  return ms;
-}
-
-void WriteJson(const std::vector<PathTimes>& times, size_t batch_rows,
-               double tune_scalar_ms, double tune_batched_ms,
-               bool tune_match) {
+void WriteJson(const std::vector<PathTimes>& times, size_t num_rows) {
   std::string json =
-      StrFormat("{\n  \"batch_rows\": %zu,\n  \"models\": {\n", batch_rows);
+      StrFormat("{\n  \"rows\": %zu,\n  \"models\": {\n", num_rows);
   for (size_t i = 0; i < times.size(); ++i) {
     const PathTimes& t = times[i];
     json += StrFormat(
         "    \"%s\": {\"scalar_ns_per_row\": %.1f, "
-        "\"fast_scalar_ns_per_row\": %.1f, "
-        "\"batch_ns_per_row\": %.1f, \"batch_speedup\": %.2f}%s\n",
-        t.name.c_str(), t.scalar_ns, t.fast_scalar_ns, t.batch_ns,
-        t.speedup(), i + 1 < times.size() ? "," : "");
+        "\"fast_scalar_ns_per_row\": %.1f}%s\n",
+        t.name.c_str(), t.scalar_ns, t.fast_scalar_ns,
+        i + 1 < times.size() ? "," : "");
   }
-  json += StrFormat(
-      "  },\n  \"tuning\": {\"scalar_ms\": %.1f, "
-      "\"batched_ms\": %.1f, \"identical\": %s}\n}\n",
-      tune_scalar_ms, tune_batched_ms, tune_match ? "true" : "false");
+  json += "  }\n}\n";
   // Atomic replace: a crash (or a concurrent reader) never sees a torn
   // results file — it holds the previous run or the complete new one.
   const Status wrote = WriteFileAtomic("BENCH_inference.json", json);
@@ -162,7 +114,7 @@ void WriteJson(const std::vector<PathTimes>& times, size_t batch_rows,
 int main() {
   const HarnessOptions opts = HarnessOptions::FromEnv();
   const bool quick = opts.scale_divisor > 2;
-  const size_t kBatch = quick ? 1024 : 4096;
+  const size_t kRows = quick ? 1024 : 4096;
   const int repeats = opts.full ? 7 : (quick ? 3 : 5);
 
   // Training data: execution pairs from one TPC-H-like database, exactly
@@ -182,9 +134,9 @@ int main() {
   std::fprintf(stderr, "training on %zu pairs, %zu features\n", data.n(),
                dim);
 
-  // The inference batch: dataset rows cycled up to kBatch.
-  std::vector<double> rows(kBatch * dim);
-  for (size_t i = 0; i < kBatch; ++i) {
+  // The inference rows: dataset rows cycled up to kRows.
+  std::vector<double> rows(kRows * dim);
+  for (size_t i = 0; i < kRows; ++i) {
     const double* src = data.Row(i % data.n());
     std::copy(src, src + dim, rows.begin() + static_cast<long>(i * dim));
   }
@@ -218,95 +170,40 @@ int main() {
 
   bool identical = true;
   std::vector<PathTimes> times;
-  times.push_back(TimeModel("LR", lr, rows, kBatch, dim, repeats,
-                            [&](const double* x) { lr.PredictProba(x); },
-                            &identical));
   times.push_back(TimeModel(
-      "RF", rf, rows, kBatch, dim, repeats,
-      [&](const double* x) { rf.PredictProbaScalar(x); }, &identical));
+      "LR", lr, rows, kRows, dim, repeats,
+      [&](const double* x) { return lr.PredictProba(x); }, &identical));
   times.push_back(TimeModel(
-      "GBT", gbt, rows, kBatch, dim, repeats,
-      [&](const double* x) { gbt.PredictProbaScalar(x); }, &identical));
+      "RF", rf, rows, kRows, dim, repeats,
+      [&](const double* x) { return rf.PredictProbaScalar(x); }, &identical));
   times.push_back(TimeModel(
-      "LGBM", lgbm, rows, kBatch, dim, repeats,
-      [&](const double* x) { lgbm.PredictProbaScalar(x); }, &identical));
-  times.push_back(TimeModel("DNN", dnn, rows, kBatch, dim, repeats,
-                            [&](const double* x) { dnn.PredictProba(x); },
-                            &identical));
+      "GBT", gbt, rows, kRows, dim, repeats,
+      [&](const double* x) { return gbt.PredictProbaScalar(x); },
+      &identical));
+  times.push_back(TimeModel(
+      "LGBM", lgbm, rows, kRows, dim, repeats,
+      [&](const double* x) { return lgbm.PredictProbaScalar(x); },
+      &identical));
+  times.push_back(TimeModel(
+      "DNN", dnn, rows, kRows, dim, repeats,
+      [&](const double* x) { return dnn.PredictProba(x); }, &identical));
 
   std::vector<std::vector<std::string>> t1;
-  t1.push_back({"model", "scalar ns/row", "zero-alloc ns/row",
-                "batch ns/row", "batch speedup"});
+  t1.push_back({"model", "scalar ns/row", "zero-alloc ns/row"});
   for (const PathTimes& t : times) {
-    t1.push_back({t.name, F3(t.scalar_ns), F3(t.fast_scalar_ns),
-                  F3(t.batch_ns), StrFormat("%.2fx", t.speedup())});
+    t1.push_back({t.name, F3(t.scalar_ns), F3(t.fast_scalar_ns)});
   }
-  PrintTable(StrFormat("Single-row vs batched inference (%zu-row batch, "
-                       "best of %d)",
-                       kBatch, repeats),
+  PrintTable(StrFormat("Single-row inference (%zu rows, best of %d)", kRows,
+                       repeats),
              t1);
 
-  // End-to-end: workload tuning, scalar ModelComparator vs the batched
-  // ClassifierComparator over the same trained forest.
-  auto shared_rf = std::make_shared<RandomForest>(rfo);
-  shared_rf->Fit(data);
-  const std::shared_ptr<const Classifier> model = shared_rf;
-  ModelComparator scalar_cmp(featurizer, [&](const std::vector<double>& x) {
-    return model->Predict(x.data());
-  });
-  ClassifierComparator batched_cmp(model, featurizer);
+  WriteJson(times, kRows);
 
-  std::vector<WorkloadQuery> wl;
-  const size_t nq = quick ? 8 : bdb->queries().size();
-  for (size_t i = 0; i < nq && i < bdb->queries().size(); ++i) {
-    wl.push_back(WorkloadQuery{bdb->queries()[i], 1.0});
-  }
-  const int tune_threads = 4;
-  std::string fp_scalar, fp_batched;
-  double tune_scalar_ms = 0, tune_batched_ms = 0;
-  const int tune_repeats = opts.full ? 3 : 2;
-  for (int r = 0; r < tune_repeats; ++r) {
-    const double a =
-        TimeTuneMs(bdb.get(), wl, scalar_cmp, tune_threads, &fp_scalar);
-    if (r == 0 || a < tune_scalar_ms) tune_scalar_ms = a;
-    const double b =
-        TimeTuneMs(bdb.get(), wl, batched_cmp, tune_threads, &fp_batched);
-    if (r == 0 || b < tune_batched_ms) tune_batched_ms = b;
-  }
-  const bool tune_match = fp_scalar == fp_batched;
-
-  std::vector<std::vector<std::string>> t2;
-  t2.push_back({"comparator", "tune ms", "same result"});
-  t2.push_back({"scalar (ModelComparator)", F3(tune_scalar_ms), "-"});
-  t2.push_back({"batched (ClassifierComparator)", F3(tune_batched_ms),
-                tune_match ? "yes" : "NO"});
-  PrintTable(StrFormat("Workload tuning, RF comparator (%zu queries, "
-                       "%d threads, best of %d)",
-                       wl.size(), tune_threads, tune_repeats),
-             t2);
-
-  WriteJson(times, kBatch, tune_scalar_ms, tune_batched_ms, tune_match);
-
-  bool ok = true;
   if (!identical) {
     std::fprintf(stderr,
-                 "FAIL: batched probabilities diverged from the scalar "
-                 "path\n");
-    ok = false;
+                 "FAIL: compiled probabilities diverged from the legacy "
+                 "scalar path\n");
+    return 1;
   }
-  if (!tune_match) {
-    std::fprintf(stderr,
-                 "FAIL: batched tuning recommendation diverged from "
-                 "scalar\n");
-    ok = false;
-  }
-  for (const PathTimes& t : times) {
-    if ((t.name == "RF" || t.name == "GBT") && t.speedup() < 3.0) {
-      std::fprintf(stderr,
-                   "FAIL: %s batched speedup was %.2fx (need >= 3x)\n",
-                   t.name.c_str(), t.speedup());
-      ok = false;
-    }
-  }
-  return ok ? 0 : 1;
+  return 0;
 }

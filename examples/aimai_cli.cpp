@@ -13,7 +13,9 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "ml/metrics.h"
@@ -612,6 +614,40 @@ bool EmitObservability(const std::map<std::string, std::string>& flags) {
   return ok;
 }
 
+struct Command {
+  const char* name;
+  int (*run)(const std::map<std::string, std::string>&);
+  /// Flags the command reads, besides the global ones (kGlobalFlags).
+  std::set<std::string> flags;
+};
+
+/// Flags every command honors: parallelism and observability.
+const std::set<std::string> kGlobalFlags = {"threads", "trace-out",
+                                            "metrics"};
+
+const std::vector<Command>& Commands() {
+  // Every command that builds a database reads the workload selection
+  // flags (StreamSpecFromFlags) and --seed.
+  static const std::vector<Command> commands = {
+      {"collect", CmdCollect,
+       {"workload", "db", "scale", "sf", "seed", "configs", "out"}},
+      {"train", CmdTrain, {"in", "out"}},
+      {"eval", CmdEval, {"in", "model-file"}},
+      {"tune", CmdTune,
+       {"workload", "db", "scale", "sf", "seed", "sessions", "model-file",
+        "online-learning", "retrain-after", "job-timeout-ms",
+        "iterations"}},
+      {"chaos", CmdChaos,
+       {"workload", "db", "scale", "sf", "seed", "sessions", "iterations",
+        "chaos-seed", "journal-dir"}},
+      {"traffic", CmdTraffic,
+       {"workload", "db", "scale", "sf", "seed", "sessions", "duration-s",
+        "slo-ms", "no-slo-deadline", "runners", "max-queued", "databases",
+        "time-compression", "arrival", "rate"}},
+  };
+  return commands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -620,7 +656,26 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string cmd = argv[1];
+  const Command* command = nullptr;
+  for (const Command& c : Commands()) {
+    if (cmd == c.name) command = &c;
+  }
+  if (command == nullptr) {
+    Usage();
+    return 1;
+  }
   const auto flags = ParseFlags(argc, argv, 2);
+  // A flag the command does not read is a typo or a removed option;
+  // running with defaults instead would hide it.
+  for (const auto& flag : flags) {
+    const std::string& key = flag.first;
+    if (command->flags.count(key) == 0 && kGlobalFlags.count(key) == 0) {
+      std::fprintf(stderr, "%s: unknown flag --%s\n", command->name,
+                   key.c_str());
+      Usage();
+      return 1;
+    }
+  }
   if (!FlagOr(flags, "trace-out", "").empty()) {
     obs::SetTraceEnabled(true);
   }
@@ -628,23 +683,7 @@ int main(int argc, char** argv) {
   // first time it is used.
   const int threads = std::atoi(FlagOr(flags, "threads", "0").c_str());
   if (threads > 0) SetConfiguredThreads(threads);
-  int rc = 1;
-  if (cmd == "collect") {
-    rc = CmdCollect(flags);
-  } else if (cmd == "train") {
-    rc = CmdTrain(flags);
-  } else if (cmd == "eval") {
-    rc = CmdEval(flags);
-  } else if (cmd == "tune") {
-    rc = CmdTune(flags);
-  } else if (cmd == "chaos") {
-    rc = CmdChaos(flags);
-  } else if (cmd == "traffic") {
-    rc = CmdTraffic(flags);
-  } else {
-    Usage();
-    return 1;
-  }
+  int rc = command->run(flags);
   if (!EmitObservability(flags) && rc == 0) rc = 2;
   return rc;
 }

@@ -23,7 +23,8 @@ ctest --test-dir build --output-on-failure -j
 ctest --test-dir build -L obs --output-on-failure -j
 # So must the concurrency suite (the TSan stage below depends on it).
 ctest --test-dir build -L parallel --output-on-failure -j
-# And the inference fast-path suite (bit-identity of batched predict).
+# And the inference fast-path suite (bit-identity of the compiled forests
+# and the memoized comparator against their reference paths).
 ctest --test-dir build -L inference --output-on-failure -j
 # And the execution-engine suite (batch engine vs. the test reference
 # executor: bit-identity of results, actual cardinalities, and derived
@@ -35,6 +36,8 @@ ctest --test-dir build -L service --output-on-failure -j
 # And the fault-tolerance suite (watchdog, journal recovery, tenant
 # isolation, validated publish + rollback, chaos accounting).
 ctest --test-dir build -L resilience --output-on-failure -j
+# And the CLI flag checks (a flag the command does not read exits 1).
+ctest --test-dir build -L cli --output-on-failure -j
 # And the online learning loop (feedback harvest, drift-triggered
 # background retrain, per-tenant adapted publish, runner-count
 # bit-identity).

@@ -140,8 +140,8 @@ struct PhysicalPlan {
   std::unique_ptr<PhysicalPlan> Clone() const;
   std::string ToString(const Database& db) const;
 
-  /// 64-bit FNV-1a fingerprint over the plan's optimization-time content:
-  /// tree structure, operator/mode/parallel flags, access payloads, and
+  /// 64-bit fingerprint over the plan's optimization-time content: tree
+  /// structure, operator/mode/parallel flags, access payloads, and
   /// every est_* statistic (bit patterns, so it is exact). Actual-execution
   /// fields are excluded — they arrive after featurization and must not
   /// change a plan's identity. Everything the featurizer reads is covered,

@@ -29,8 +29,6 @@ class GradientBoostedTrees : public Classifier {
 
   void Fit(const Dataset& train) override;
   void PredictProbaInto(const double* x, double* out) const override;
-  void PredictBatch(const double* rows, size_t n, size_t stride,
-                    double* out) const override;
 
   /// Reference node-chasing path (bit-identity tests / benchmarks).
   std::vector<double> PredictProbaScalar(const double* x) const;
@@ -60,8 +58,6 @@ class GradientBoostedTreesRegressor : public Regressor {
 
   void Fit(const Dataset& train) override;
   double Predict(const double* x) const override;
-  void PredictBatch(const double* rows, size_t n, size_t stride,
-                    double* out) const override;
 
   /// Reference node-chasing path (bit-identity tests / benchmarks).
   double PredictScalar(const double* x) const;

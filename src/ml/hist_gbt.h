@@ -31,8 +31,6 @@ class HistGradientBoosting : public Classifier {
 
   void Fit(const Dataset& train) override;
   void PredictProbaInto(const double* x, double* out) const override;
-  void PredictBatch(const double* rows, size_t n, size_t stride,
-                    double* out) const override;
 
   /// Reference node-chasing path (bit-identity tests / benchmarks).
   std::vector<double> PredictProbaScalar(const double* x) const;

@@ -348,7 +348,7 @@ void NeuralNetClassifier::Fit(const Dataset& train) {
 namespace {
 
 /// Per-thread inference scratch: two ping-pong activation matrices reused
-/// across calls (they grow to the largest block seen and stay warm).
+/// across calls (they grow to the widest layer seen and stay warm).
 struct NnScratch {
   Matrix a;
   Matrix b;
@@ -361,55 +361,38 @@ NnScratch& InferenceScratch() {
 
 }  // namespace
 
-void NeuralNetClassifier::InferenceForward(const double* rows, size_t n,
-                                           size_t stride, double* probs_out,
+void NeuralNetClassifier::InferenceForward(const double* x,
+                                           double* probs_out,
                                            double* hidden_out) const {
   AIMAI_CHECK(!layers_.empty());
   NnScratch& s = InferenceScratch();
   Matrix* cur = &s.a;
   Matrix* nxt = &s.b;
 
-  cur->Resize(n, d_);
-  for (size_t i = 0; i < n; ++i) {
-    const double* x = rows + i * stride;
-    double* row = cur->RowPtr(i);
-    for (size_t j = 0; j < d_; ++j) row[j] = (x[j] - mean_[j]) * inv_std_[j];
-  }
+  cur->Resize(1, d_);
+  double* in = cur->RowPtr(0);
+  for (size_t j = 0; j < d_; ++j) in[j] = (x[j] - mean_[j]) * inv_std_[j];
 
   for (size_t li = 0; li < layers_.size(); ++li) {
     const Layer& l = layers_[li];
     if (l.output && hidden_out != nullptr) {
-      for (size_t i = 0; i < n; ++i) {
-        const double* row = cur->RowPtr(i);
-        std::copy(row, row + cur->cols(), hidden_out + i * cur->cols());
-      }
+      const double* row = cur->RowPtr(0);
+      std::copy(row, row + cur->cols(), hidden_out);
       if (probs_out == nullptr) return;
     }
     cur->MatMulInto(l.w, nxt);
-    for (size_t i = 0; i < n; ++i) {
-      double* row = nxt->RowPtr(i);
-      for (size_t j = 0; j < nxt->cols(); ++j) row[j] += l.b[j];
-    }
+    double* row = nxt->RowPtr(0);
+    for (size_t j = 0; j < nxt->cols(); ++j) row[j] += l.b[j];
     if (l.output) {
       const size_t k = nxt->cols();
-      for (size_t i = 0; i < n; ++i) {
-        const double* z = nxt->RowPtr(i);
-        double* p = probs_out + i * k;
-        std::copy(z, z + k, p);
-        SoftmaxInPlace(p, k);
-      }
+      std::copy(row, row + k, probs_out);
+      SoftmaxInPlace(probs_out, k);
       return;
     }
-    for (size_t i = 0; i < n; ++i) {
-      double* row = nxt->RowPtr(i);
-      for (size_t j = 0; j < nxt->cols(); ++j) row[j] = std::tanh(row[j]);
-    }
+    for (size_t j = 0; j < nxt->cols(); ++j) row[j] = std::tanh(row[j]);
     if (l.skip) {
-      for (size_t i = 0; i < n; ++i) {
-        const double* prev = cur->RowPtr(i);
-        double* row = nxt->RowPtr(i);
-        for (size_t j = 0; j < nxt->cols(); ++j) row[j] += prev[j];
-      }
+      const double* prev = cur->RowPtr(0);
+      for (size_t j = 0; j < nxt->cols(); ++j) row[j] += prev[j];
     }
     std::swap(cur, nxt);
   }
@@ -418,38 +401,14 @@ void NeuralNetClassifier::InferenceForward(const double* rows, size_t n,
 void NeuralNetClassifier::PredictProbaInto(const double* x,
                                            double* out) const {
   AIMAI_SPAN("ml.dnn.predict");
-  InferenceForward(x, 1, d_, out, nullptr);
-}
-
-void NeuralNetClassifier::PredictBatch(const double* rows, size_t n,
-                                       size_t stride, double* out) const {
-  AIMAI_SPAN("ml.dnn.predict_batch");
-  const size_t k = static_cast<size_t>(num_classes_);
-  // Blocked so the scratch matrices stay cache-resident on huge batches.
-  constexpr size_t kBlock = 256;
-  for (size_t start = 0; start < n; start += kBlock) {
-    const size_t bn = std::min(kBlock, n - start);
-    InferenceForward(rows + start * stride, bn, stride, out + start * k,
-                     nullptr);
-  }
+  InferenceForward(x, out, nullptr);
 }
 
 std::vector<double> NeuralNetClassifier::LastHiddenFeatures(
     const double* x) const {
   std::vector<double> out(LastHiddenDim());
-  InferenceForward(x, 1, d_, nullptr, out.data());
+  InferenceForward(x, nullptr, out.data());
   return out;
-}
-
-void NeuralNetClassifier::LastHiddenBatch(const double* rows, size_t n,
-                                          size_t stride, double* out) const {
-  const size_t hd = LastHiddenDim();
-  constexpr size_t kBlock = 256;
-  for (size_t start = 0; start < n; start += kBlock) {
-    const size_t bn = std::min(kBlock, n - start);
-    InferenceForward(rows + start * stride, bn, stride, nullptr,
-                     out + start * hd);
-  }
 }
 
 size_t NeuralNetClassifier::LastHiddenDim() const {

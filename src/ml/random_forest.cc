@@ -57,7 +57,6 @@ void RandomForest::Fit(const Dataset& train) {
 void RandomForest::Compile() {
   compiled_.Reset(static_cast<size_t>(num_classes_));
   for (const auto& tree : trees_) tree->CompileInto(&compiled_);
-  compiled_.Finalize();
 }
 
 void RandomForest::PredictProbaInto(const double* x, double* out) const {
@@ -68,17 +67,6 @@ void RandomForest::PredictProbaInto(const double* x, double* out) const {
   compiled_.AccumulateAll(x, out);
   const double inv = 1.0 / static_cast<double>(compiled_.num_trees());
   for (size_t c = 0; c < k; ++c) out[c] *= inv;
-}
-
-void RandomForest::PredictBatch(const double* rows, size_t n, size_t stride,
-                                double* out) const {
-  AIMAI_SPAN("ml.rf.predict_batch");
-  AIMAI_CHECK(!compiled_.empty());
-  const size_t k = static_cast<size_t>(num_classes_);
-  std::fill(out, out + n * k, 0.0);
-  compiled_.AccumulateAllBatch(rows, n, stride, out);
-  const double inv = 1.0 / static_cast<double>(compiled_.num_trees());
-  for (size_t i = 0; i < n * k; ++i) out[i] *= inv;
 }
 
 std::vector<double> RandomForest::PredictProbaScalar(const double* x) const {
@@ -116,7 +104,6 @@ void RandomForestRegressor::Fit(const Dataset& train) {
 void RandomForestRegressor::Compile() {
   compiled_.Reset(1);
   for (const auto& tree : trees_) tree->CompileInto(&compiled_);
-  compiled_.Finalize();
 }
 
 void RandomForest::Save(TokenWriter* w) const {
@@ -162,17 +149,6 @@ double RandomForestRegressor::Predict(const double* x) const {
   double sum = 0;
   compiled_.AccumulateAll(x, &sum);
   return sum / static_cast<double>(compiled_.num_trees());
-}
-
-void RandomForestRegressor::PredictBatch(const double* rows, size_t n,
-                                         size_t stride, double* out) const {
-  AIMAI_CHECK(!compiled_.empty());
-  std::fill(out, out + n, 0.0);
-  compiled_.AccumulateAllBatch(rows, n, stride, out);
-  // Divide (not multiply-by-reciprocal): the scalar path divides, and
-  // the two differ in the last ulp for some sums.
-  const double count = static_cast<double>(compiled_.num_trees());
-  for (size_t i = 0; i < n; ++i) out[i] /= count;
 }
 
 double RandomForestRegressor::PredictScalar(const double* x) const {

@@ -32,8 +32,6 @@ class RandomForest : public Classifier {
 
   void Fit(const Dataset& train) override;
   void PredictProbaInto(const double* x, double* out) const override;
-  void PredictBatch(const double* rows, size_t n, size_t stride,
-                    double* out) const override;
 
   /// Reference node-chasing path (pre-compilation); kept for the
   /// bit-identity tests and the scalar-vs-compiled benchmarks.
@@ -65,8 +63,6 @@ class RandomForestRegressor : public Regressor {
 
   void Fit(const Dataset& train) override;
   double Predict(const double* x) const override;
-  void PredictBatch(const double* rows, size_t n, size_t stride,
-                    double* out) const override;
 
   /// Reference node-chasing path (bit-identity tests / benchmarks).
   double PredictScalar(const double* x) const;

@@ -64,34 +64,10 @@ Dataset HybridDnnClassifier::HiddenDataset(const Dataset& data) const {
   return out;
 }
 
-namespace {
-
-/// Per-thread hidden-activation scratch shared by the Hybrid DNN's
-/// inference paths (grows to the largest batch seen, then stays warm).
-std::vector<double>& HybridHiddenScratch() {
-  static thread_local std::vector<double> scratch;
-  return scratch;
-}
-
-}  // namespace
-
 void HybridDnnClassifier::PredictProbaInto(const double* x,
                                            double* out) const {
   AIMAI_CHECK(rf_ != nullptr);
-  std::vector<double>& hidden = HybridHiddenScratch();
-  hidden.resize(dnn_.LastHiddenDim());
-  dnn_.LastHiddenBatch(x, 1, 0, hidden.data());
-  rf_->PredictProbaInto(hidden.data(), out);
-}
-
-void HybridDnnClassifier::PredictBatch(const double* rows, size_t n,
-                                       size_t stride, double* out) const {
-  AIMAI_CHECK(rf_ != nullptr);
-  const size_t hd = dnn_.LastHiddenDim();
-  std::vector<double>& hidden = HybridHiddenScratch();
-  hidden.resize(n * hd);
-  dnn_.LastHiddenBatch(rows, n, stride, hidden.data());
-  rf_->PredictBatch(hidden.data(), n, hd, out);
+  rf_->PredictProbaInto(dnn_.LastHiddenFeatures(x).data(), out);
 }
 
 void HybridDnnClassifier::RetrainForest(const Dataset& data) {
@@ -144,12 +120,6 @@ std::unique_ptr<Classifier> MakeClassifier(ModelKind kind,
     }
   }
   return nullptr;
-}
-
-int PlanPairClassifierModel::PredictLabel(const PhysicalPlan& p1,
-                                          const PhysicalPlan& p2) const {
-  const auto x = features_.GetOrCompute(featurizer_, p1, p2);
-  return classifier_->Predict(x->data());
 }
 
 }  // namespace aimai

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "featurize/feature_cache.h"
 #include "featurize/pair_featurizer.h"
 #include "ml/model.h"
 #include "ml/neural_net.h"
@@ -43,10 +42,6 @@ class HybridDnnClassifier : public Classifier {
 
   void Fit(const Dataset& train) override;
   void PredictProbaInto(const double* x, double* out) const override;
-  /// Batched: one DNN hidden-layer pass for the whole batch, then one
-  /// forest PredictBatch over the hidden activations.
-  void PredictBatch(const double* rows, size_t n, size_t stride,
-                    double* out) const override;
 
   /// Transfer learning: refit only the stacked forest on `data`.
   void RetrainForest(const Dataset& data);
@@ -67,39 +62,6 @@ class HybridDnnClassifier : public Classifier {
 std::unique_ptr<Classifier> MakeClassifier(ModelKind kind,
                                            const PairFeaturizer& featurizer,
                                            uint64_t seed);
-
-/// The tuner-facing API (§5): wraps a trained classifier + featurizer into
-/// IsRegression / IsImprovement verdicts on plan pairs.
-class PlanPairClassifierModel {
- public:
-  PlanPairClassifierModel(std::shared_ptr<const Classifier> classifier,
-                          PairFeaturizer featurizer)
-      : classifier_(std::move(classifier)),
-        featurizer_(std::move(featurizer)) {}
-
-  /// Predicted label for the ordered pair (p1 = current, p2 = candidate).
-  int PredictLabel(const PhysicalPlan& p1, const PhysicalPlan& p2) const;
-
-  bool IsRegression(const PhysicalPlan& p1, const PhysicalPlan& p2) const {
-    return PredictLabel(p1, p2) == kRegression;
-  }
-  bool IsImprovement(const PhysicalPlan& p1, const PhysicalPlan& p2) const {
-    return PredictLabel(p1, p2) == kImprovement;
-  }
-
-  const PairFeaturizer& featurizer() const { return featurizer_; }
-
-  /// Pair-featurization memo (diagnostics / tests).
-  const PairFeatureCache& feature_cache() const { return features_; }
-
- private:
-  std::shared_ptr<const Classifier> classifier_;
-  PairFeaturizer featurizer_;
-  /// Memoizes feature vectors by plan content fingerprints; the tuner asks
-  /// about the same (current, candidate) pairs repeatedly. Internally
-  /// thread-safe, hence usable from the const prediction path.
-  mutable PairFeatureCache features_;
-};
 
 }  // namespace aimai
 

@@ -38,17 +38,19 @@ DriftDetector::Window DriftDetector::Summarize(const TenantWindow& w) {
 }
 
 void DriftDetector::PublishGauges(const std::string& tenant,
-                                  const Window& w) const {
+                                  const Window& summary, TenantWindow* w) {
   if (!obs::Enabled()) return;
-  obs::Registry()
-      .GetGauge("service.learning.drift.f1." + tenant)
-      ->Set(w.f1);
-  obs::Registry()
-      .GetGauge("service.learning.drift.miss_rate." + tenant)
-      ->Set(w.miss_rate);
-  obs::Registry()
-      .GetGauge("service.learning.drift.observations." + tenant)
-      ->Set(static_cast<double>(w.observations));
+  if (w->f1_gauge == nullptr) {
+    obs::MetricsRegistry& registry = obs::Registry();
+    w->f1_gauge = registry.GetGauge("service.learning.drift.f1." + tenant);
+    w->miss_rate_gauge =
+        registry.GetGauge("service.learning.drift.miss_rate." + tenant);
+    w->observations_gauge =
+        registry.GetGauge("service.learning.drift.observations." + tenant);
+  }
+  w->f1_gauge->Set(summary.f1);
+  w->miss_rate_gauge->Set(summary.miss_rate);
+  w->observations_gauge->Set(static_cast<double>(summary.observations));
 }
 
 bool DriftDetector::Record(const std::string& tenant, int truth,
@@ -62,7 +64,7 @@ bool DriftDetector::Record(const std::string& tenant, int truth,
     w.events.pop_front();
   }
   const Window summary = Summarize(w);
-  PublishGauges(tenant, summary);
+  PublishGauges(tenant, summary, &w);
   if (summary.observations < options_.min_observations) return false;
   // Without true regressions in the window there is nothing to judge the
   // model's regression gate by — F1 of 0 would just mean "no support".

@@ -9,6 +9,10 @@
 
 namespace aimai {
 
+namespace obs {
+class Gauge;
+}  // namespace obs
+
 /// Per-tenant drift detection over the live model's decisions. Where the
 /// ModelRegistry's outcome windows only watch the raw regression *rate*
 /// (and roll a bad publish back), this detector compares the model's
@@ -65,10 +69,16 @@ class DriftDetector {
  private:
   struct TenantWindow {
     std::deque<std::pair<int8_t, int8_t>> events;  // (truth, predicted).
+    // The tenant's drift gauges, registered on first publish (registry
+    // handles are stable), so a Record builds no metric names.
+    obs::Gauge* f1_gauge = nullptr;
+    obs::Gauge* miss_rate_gauge = nullptr;
+    obs::Gauge* observations_gauge = nullptr;
   };
 
   static Window Summarize(const TenantWindow& w);
-  void PublishGauges(const std::string& tenant, const Window& w) const;
+  static void PublishGauges(const std::string& tenant, const Window& summary,
+                            TenantWindow* w);
 
   const Options options_;
   mutable std::mutex mu_;

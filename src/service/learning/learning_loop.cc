@@ -82,22 +82,32 @@ std::string AdaptedModelName(const std::string& base,
 void LearningLoop::DecisionLog::OnDecision(uint64_t h1, uint64_t h2,
                                            int label) {
   std::lock_guard<std::mutex> lock(mu_);
-  const Key key{h1, h2};
-  auto it = labels_.find(key);
-  if (it != labels_.end()) {
-    it->second = label;  // A fresh comparator may re-decide the pair.
-    return;
-  }
-  labels_.emplace(key, label);
-  fifo_.push_back(key);
-  while (labels_.size() > kCapacity) {
-    labels_.erase(fifo_.front());
-    fifo_.pop_front();
-  }
+  pending_.emplace_back(Key{h1, h2}, label);
+  // Bounded between lookups too (sessions without a harvesting job).
+  if (pending_.size() >= kCapacity) ApplyPendingLocked();
 }
 
-int LearningLoop::DecisionLog::Lookup(uint64_t h1, uint64_t h2) const {
+void LearningLoop::DecisionLog::ApplyPendingLocked() {
+  AIMAI_COUNTER_ADD("comparator.decisions_recorded",
+                    static_cast<int64_t>(pending_.size()));
+  for (const auto& [key, label] : pending_) {
+    const auto [it, inserted] = labels_.try_emplace(key, label);
+    if (!inserted) {
+      it->second = label;  // A fresh comparator may re-decide the pair.
+      continue;
+    }
+    fifo_.push_back(key);
+    while (labels_.size() > kCapacity) {
+      labels_.erase(fifo_.front());
+      fifo_.pop_front();
+    }
+  }
+  pending_.clear();
+}
+
+int LearningLoop::DecisionLog::Lookup(uint64_t h1, uint64_t h2) {
   std::lock_guard<std::mutex> lock(mu_);
+  ApplyPendingLocked();
   auto it = labels_.find(Key{h1, h2});
   return it == labels_.end() ? -1 : it->second;
 }
@@ -174,17 +184,30 @@ void LearningLoop::Harvest(Session* session) {
   // The live model — what the comparator actually consulted — supplies
   // the predicted label when the decision log has no record of the pair.
   std::shared_ptr<const ModelSnapshot> live = ResolveModel(model, tenant);
-  PairDatasetBuilder builder(repo, base->featurizer, PairLabeler());
+  const PairFeaturizer& featurizer = base->featurizer;
+  const PairLabeler labeler;
+
+  // One plan's side of a pair, built once per plan visit: the fresh plan
+  // pairs with each partner in both directions, and fingerprinting walks
+  // the whole plan tree.
+  struct Side {
+    const ExecutedPlan* plan;
+    uint64_t hash;
+    PlanFeatures features;
+  };
+  const auto side_of = [&](int id) {
+    const ExecutedPlan& e = repo->plan(id);
+    return Side{&e, e.plan->ContentHash(),
+                SelectChannels(e.features,
+                               featurizer.plan_featurizer().channels())};
+  };
 
   int64_t harvested = 0;
   bool drifted = false;
-  const auto add_pair = [&](int a, int b) {
-    const ExecutedPlan& pa = repo->plan(a);
-    const ExecutedPlan& pb = repo->plan(b);
-    std::vector<double> x = builder.Features(PlanPairRef{a, b});
-    const int truth = builder.labeler().Label(pa.exec_cost, pb.exec_cost);
-    int predicted =
-        ts->log.Lookup(pa.plan->ContentHash(), pb.plan->ContentHash());
+  const auto add_pair = [&](const Side& a, const Side& b) {
+    std::vector<double> x = featurizer.Combine(a.features, b.features);
+    const int truth = labeler.Label(a.plan->exec_cost, b.plan->exec_cost);
+    int predicted = ts->log.Lookup(a.hash, b.hash);
     if (predicted < 0 && live != nullptr) {
       predicted = live->classifier->Predict(x.data());
     }
@@ -197,6 +220,7 @@ void LearningLoop::Harvest(Session* session) {
     const int pid = static_cast<int>(p);
     const std::vector<int>& members =
         repo->PlansOfQueryGroup(repo->QueryGroupOf(pid));
+    const Side fresh = side_of(pid);
     // Pair the fresh plan with its query's most recent earlier plans,
     // both directions — the same ordered-pair universe MakePairs builds
     // offline, grown incrementally.
@@ -205,8 +229,9 @@ void LearningLoop::Harvest(Session* session) {
          it != members.rend() && partners < options_.max_pair_partners;
          ++it) {
       if (*it >= pid) continue;
-      add_pair(*it, pid);
-      add_pair(pid, *it);
+      const Side partner = side_of(*it);
+      add_pair(partner, fresh);
+      add_pair(fresh, partner);
       ++partners;
     }
   }

@@ -124,11 +124,17 @@ class LearningLoop {
  private:
   /// Bounded predicted-label log keyed by the pair's plan content hashes;
   /// written by comparator decisions, read back at harvest time.
+  ///
+  /// Every fresh comparator label is reported, on the tuning job's
+  /// thread, but harvest reads back only pairs of executed plans. So a
+  /// report only appends to `pending_`; the batch is applied to the table,
+  /// in report order, before the next lookup — one pass over a warm table
+  /// instead of one cold insert per decision, with identical contents.
   class DecisionLog : public ComparatorDecisionSink {
    public:
     void OnDecision(uint64_t h1, uint64_t h2, int label) override;
     /// -1 when the pair was never decided (or already evicted).
-    int Lookup(uint64_t h1, uint64_t h2) const;
+    int Lookup(uint64_t h1, uint64_t h2);
 
    private:
     using Key = std::pair<uint64_t, uint64_t>;
@@ -138,7 +144,12 @@ class LearningLoop {
       }
     };
     static constexpr size_t kCapacity = 4096;
-    mutable std::mutex mu_;
+
+    /// Caller must hold mu_.
+    void ApplyPendingLocked();
+
+    std::mutex mu_;
+    std::vector<std::pair<Key, int>> pending_;
     std::unordered_map<Key, int, KeyHash> labels_;
     std::deque<Key> fifo_;
   };

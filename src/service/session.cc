@@ -7,7 +7,7 @@
 #include "obs/obs.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
-#include "tuner/batched_comparator.h"
+#include "tuner/comparator.h"
 
 namespace aimai {
 

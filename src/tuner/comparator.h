@@ -1,33 +1,28 @@
 #ifndef AIMAI_TUNER_COMPARATOR_H_
 #define AIMAI_TUNER_COMPARATOR_H_
 
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "featurize/feature_cache.h"
 #include "featurize/pair_featurizer.h"
+#include "ml/model.h"
 #include "models/labeler.h"
 
 namespace aimai {
 
-class ThreadPool;
-
-/// A (current, candidate) plan pair the tuner is about to ask a
-/// comparator about. Non-owning: the tuner keeps the plans alive for the
-/// duration of the round.
-struct PlanPairView {
-  const PhysicalPlan* p1 = nullptr;
-  const PhysicalPlan* p2 = nullptr;
-};
-
-/// Observer of ML-comparator label decisions. Previously only the
-/// fallback comparator recorded its outcomes (into its circuit breaker);
-/// threading this sink through ClassifierComparator lets the service's
-/// learning loop see every decision — scalar and batched — and join the
-/// predicted labels against the ground truth measured executions reveal.
-/// Fired once per distinct ordered pair (label-memo hits do not repeat);
-/// implementations must be thread-safe (batched rounds fire from runner
-/// threads while pool workers may resolve scalar labels).
+/// Observer of ML-comparator label decisions. Threading this sink through
+/// ClassifierComparator lets the service's learning loop see every
+/// decision and join the predicted labels against the ground truth
+/// measured executions reveal. Fired once per distinct ordered pair
+/// (label-memo hits do not repeat); implementations must be thread-safe
+/// (tuner fan-out may decide pairs on several pool workers at once).
 class ComparatorDecisionSink {
  public:
   virtual ~ComparatorDecisionSink() = default;
@@ -52,19 +47,6 @@ class CostComparator {
   /// Whether adopting p2 is predicted to significantly improve the query.
   virtual bool IsImprovement(const PhysicalPlan& p1,
                              const PhysicalPlan& p2) const = 0;
-
-  /// Hint that the tuner is about to ask about `pairs` (candidate
-  /// fan-out). Batched comparators featurize in parallel on `pool` and
-  /// answer every pair with one model PredictBatch; the default is a
-  /// no-op. Priming must never change an answer: subsequent
-  /// IsRegression / IsImprovement calls return exactly what they would
-  /// have returned without the hint (labels are pure functions of the
-  /// pair). `pool` may be null (serial featurization).
-  virtual void Prime(const std::vector<PlanPairView>& pairs,
-                     ThreadPool* pool) const {
-    (void)pairs;
-    (void)pool;
-  }
 };
 
 /// Decision thresholds shared by the estimate-driven comparators. Kept as
@@ -137,6 +119,57 @@ class ModelComparator : public CostComparator {
  private:
   PairFeaturizer featurizer_;
   LabelFn label_fn_;
+};
+
+/// ModelComparator over a trained Classifier, memoized: a pair is
+/// featurized and labeled the first time IsRegression / IsImprovement
+/// asks about it, and later questions about the same ordered pair (by
+/// plan ContentHash) are answered from a bounded FIFO label memo. Labels
+/// are pure functions of the pair, so the memo never changes an answer.
+///
+/// Thread-safe. Featurization goes through a PairFeatureCache's
+/// plan-level memo, which walks each distinct plan's tree once even when
+/// it appears in many pairs (one current plan against N candidates).
+class ClassifierComparator : public CostComparator {
+ public:
+  ClassifierComparator(std::shared_ptr<const Classifier> classifier,
+                       PairFeaturizer featurizer);
+
+  bool IsRegression(const PhysicalPlan& p1,
+                    const PhysicalPlan& p2) const override;
+  bool IsImprovement(const PhysicalPlan& p1,
+                     const PhysicalPlan& p2) const override;
+
+  /// Predicted PairLabel for the ordered pair (memoized).
+  int Label(const PhysicalPlan& p1, const PhysicalPlan& p2) const;
+
+  /// Label-memo hits (decisions answered without touching the model).
+  int64_t num_label_hits() const;
+
+  /// Observer of every fresh label this comparator produces. Must outlive
+  /// the comparator; nullptr (the default) disables. Set before the
+  /// comparator is shared.
+  void set_decision_sink(ComparatorDecisionSink* sink) { sink_ = sink; }
+
+ private:
+  /// Entries kept by the label memo (and by the plan-feature memo).
+  static constexpr size_t kMemoCapacity = PairFeatureCache::kDefaultCapacity;
+
+  using Key = std::pair<uint64_t, uint64_t>;
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      return static_cast<size_t>(k.first * 1099511628211ULL ^ k.second);
+    }
+  };
+
+  std::shared_ptr<const Classifier> classifier_;
+  PairFeaturizer featurizer_;
+  ComparatorDecisionSink* sink_ = nullptr;
+  mutable PairFeatureCache features_{kMemoCapacity};
+  mutable std::mutex labels_mu_;
+  mutable std::unordered_map<Key, int, KeyHash> labels_;
+  mutable std::deque<Key> label_fifo_;
+  mutable int64_t num_label_hits_ = 0;
 };
 
 }  // namespace aimai

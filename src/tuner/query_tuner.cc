@@ -54,21 +54,6 @@ QueryTuningResult QueryLevelTuner::Tune(const QuerySpec& query,
       plans[j] = what_if_->Optimize(query, configs[j]);
     });
 
-    // Announce the round's decision pairs: the regression gate always
-    // compares against the base plan, and the improvement gate starts
-    // from the current plan (later best_plan switches fall back to the
-    // comparator's scalar path). A batched comparator answers all of
-    // them with one model batch; answers are bit-identical either way.
-    if (!eligible.empty()) {
-      std::vector<PlanPairView> pending;
-      pending.reserve(2 * eligible.size());
-      for (const auto& plan : plans) {
-        pending.push_back({result.base_plan.get(), plan.get()});
-        pending.push_back({current_plan.get(), plan.get()});
-      }
-      comparator.Prime(pending, tp);
-    }
-
     const IndexDef* best_index = nullptr;
     std::shared_ptr<const PhysicalPlan> best_plan = current_plan;
 

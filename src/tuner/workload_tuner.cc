@@ -107,21 +107,9 @@ WorkloadTuningResult WorkloadLevelTuner::Tune(
         prefetched[j][i] = what_if_->Optimize(workload[i].query, configs[j]);
       });
       // An abandoned prefetch leaves null slots; stop at the round
-      // boundary before Prime() or the reduce can touch them. Nothing is
-      // adopted, so the mid-round stop never changes the configuration.
+      // boundary before the reduce can touch them. Nothing is adopted, so
+      // the mid-round stop never changes the configuration.
       if (Cancelled(options_.cancel)) break;
-      // Announce the round's decision pairs. A batched comparator
-      // featurizes and labels them with one model batch; the replay below
-      // is unchanged (and bit-identical — priming never alters answers).
-      std::vector<PlanPairView> pending;
-      pending.reserve(eligible.size() * nq);
-      for (size_t j = 0; j < eligible.size(); ++j) {
-        for (size_t i = 0; i < nq; ++i) {
-          pending.push_back({result.base_plans[i].get(),
-                             prefetched[j][i].get()});
-        }
-      }
-      comparator.Prime(pending, tp);
     }
 
     const IndexDef* best_index = nullptr;

@@ -10,12 +10,12 @@
 #include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "models/classifier_model.h"
-#include "tuner/batched_comparator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "reference_executor.h"
 #include "service/learning/learning_loop.h"
 #include "service/service.h"
+#include "tuner/comparator.h"
 #include "tuner/continuous_tuner.h"
 #include "workloads/collection.h"
 #include "workloads/customer.h"
@@ -280,11 +280,11 @@ TEST(DeterminismTest, ParallelTuningMatchesSerial) {
   EXPECT_EQ(run(1), run(8));
 }
 
-// The batched-inference comparator's contract: a tuner run whose
-// decisions are answered through Prime + one PredictBatch per round is
-// bit-identical to the same run answered pair-at-a-time through the
-// scalar model path — at any thread count.
-TEST(DeterminismTest, BatchedComparatorTuningMatchesScalar) {
+// The memoized comparator's contract: a tuner run whose decisions are
+// answered through ClassifierComparator's label memo is bit-identical to
+// the same run answered pair-at-a-time through the unmemoized
+// ModelComparator — at any thread count.
+TEST(DeterminismTest, MemoizedComparatorTuningMatchesScalar) {
   // Train one classifier on collected execution data.
   auto train_db = BuildTpchLike("dbt", 1, 0.9, 88);
   ExecutionDataRepository repo;
@@ -302,7 +302,7 @@ TEST(DeterminismTest, BatchedComparatorTuningMatchesScalar) {
   trained->Fit(data);
   const std::shared_ptr<const Classifier> model = std::move(trained);
 
-  auto run = [&](bool batched, int threads) {
+  auto run = [&](bool memoized, int threads) {
     ThreadPool pool(threads);
     auto bdb = BuildTpchLike("dbt2", 1, 0.9, 92);
     std::vector<WorkloadQuery> wl;
@@ -315,7 +315,7 @@ TEST(DeterminismTest, BatchedComparatorTuningMatchesScalar) {
     WorkloadLevelTuner tuner(bdb->db(), bdb->what_if(), &gen, o);
 
     std::unique_ptr<CostComparator> cmp;
-    if (batched) {
+    if (memoized) {
       cmp = std::make_unique<ClassifierComparator>(model, fz);
     } else {
       cmp = std::make_unique<ModelComparator>(
@@ -331,9 +331,9 @@ TEST(DeterminismTest, BatchedComparatorTuningMatchesScalar) {
     for (const auto& p : r.final_plans) out += "|" + p->ToString(*bdb->db());
     return out;
   };
-  const std::string scalar = run(/*batched=*/false, /*threads=*/1);
-  EXPECT_EQ(run(/*batched=*/true, /*threads=*/1), scalar);
-  EXPECT_EQ(run(/*batched=*/true, /*threads=*/8), scalar);
+  const std::string scalar = run(/*memoized=*/false, /*threads=*/1);
+  EXPECT_EQ(run(/*memoized=*/true, /*threads=*/1), scalar);
+  EXPECT_EQ(run(/*memoized=*/true, /*threads=*/8), scalar);
 }
 
 // The service runtime's determinism contract: a session's results do not

@@ -1,6 +1,7 @@
-// Inference fast path: the compiled SoA forests, batched predict entry
-// points, zero-allocation wrappers, and the plan-pair featurization memo
-// must all be bit-identical to the reference scalar paths they replace.
+// Inference fast path: the compiled SoA forests, zero-allocation
+// wrappers, the plan-pair featurization memo, and the memoized classifier
+// comparator must all be bit-identical to the reference paths they
+// replace.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,6 @@
 
 #include "common/random.h"
 #include "common/serialize.h"
-#include "common/thread_pool.h"
 #include "featurize/feature_cache.h"
 #include "ml/decision_tree.h"
 #include "ml/gbt.h"
@@ -25,7 +25,6 @@
 #include "ml/random_forest.h"
 #include "models/classifier_model.h"
 #include "models/labeler.h"
-#include "tuner/batched_comparator.h"
 #include "tuner/comparator.h"
 #include "workloads/collection.h"
 #include "workloads/tpch_like.h"
@@ -55,32 +54,6 @@ Dataset MakeRegData(size_t n, uint64_t seed) {
     data.Add(x, 0, 3 * x[0] - x[1] * x[2] + 0.5 * x[4]);
   }
   return data;
-}
-
-/// Flattens the dataset rows into a contiguous row-major matrix.
-std::vector<double> Flatten(const Dataset& data) {
-  std::vector<double> rows(data.n() * data.d());
-  for (size_t i = 0; i < data.n(); ++i) {
-    const double* r = data.Row(i);
-    std::copy(r, r + data.d(), rows.begin() + static_cast<long>(i * data.d()));
-  }
-  return rows;
-}
-
-/// EXPECT_EQ on doubles is exact — that is the point: the batched and
-/// compiled paths promise bit-identity, not closeness.
-void ExpectBatchMatchesScalar(const Classifier& model, const Dataset& data) {
-  const size_t k = static_cast<size_t>(model.num_classes());
-  const std::vector<double> rows = Flatten(data);
-  std::vector<double> batch(data.n() * k);
-  model.PredictBatch(rows.data(), data.n(), data.d(), batch.data());
-  std::vector<double> one(k);
-  for (size_t i = 0; i < data.n(); ++i) {
-    model.PredictProbaInto(data.Row(i), one.data());
-    for (size_t c = 0; c < k; ++c) {
-      ASSERT_EQ(one[c], batch[i * k + c]) << "row " << i << " class " << c;
-    }
-  }
 }
 
 TEST(CompiledForestTest, DecisionTreeCompiledTraversalMatchesNodes) {
@@ -132,7 +105,6 @@ TEST(InferenceTest, RandomForestCompiledAndBatchedBitIdentical) {
     EXPECT_EQ(rf.PredictProbaScalar(data.Row(i)),
               std::vector<double>(fast.begin(), fast.end()));
   }
-  ExpectBatchMatchesScalar(rf, data);
 }
 
 TEST(InferenceTest, GbtCompiledAndBatchedBitIdentical) {
@@ -147,7 +119,6 @@ TEST(InferenceTest, GbtCompiledAndBatchedBitIdentical) {
     EXPECT_EQ(gbt.PredictProbaScalar(data.Row(i)),
               std::vector<double>(fast.begin(), fast.end()));
   }
-  ExpectBatchMatchesScalar(gbt, data);
 }
 
 TEST(InferenceTest, HistGbtCompiledAndBatchedBitIdentical) {
@@ -162,44 +133,10 @@ TEST(InferenceTest, HistGbtCompiledAndBatchedBitIdentical) {
     EXPECT_EQ(lgbm.PredictProbaScalar(data.Row(i)),
               std::vector<double>(fast.begin(), fast.end()));
   }
-  ExpectBatchMatchesScalar(lgbm, data);
-}
-
-TEST(InferenceTest, LogisticRegressionBatchedBitIdentical) {
-  const Dataset data = MakeClassData(400, 24);
-  LogisticRegression::Options o;
-  o.seed = 8;
-  LogisticRegression lr(o);
-  lr.Fit(data);
-  ExpectBatchMatchesScalar(lr, data);
-}
-
-TEST(InferenceTest, NeuralNetBatchedBitIdentical) {
-  const Dataset data = MakeClassData(300, 25);
-  NeuralNetClassifier::Options o;
-  o.architecture = NeuralNetClassifier::Architecture::kFullyConnected;
-  o.fc_layers = 3;
-  o.fc_units = 16;
-  o.epochs = 5;
-  o.seed = 9;
-  NeuralNetClassifier nn(o);
-  nn.Fit(data);
-  ExpectBatchMatchesScalar(nn, data);
-
-  // The batched hidden-layer pass (the Hybrid model's input) too.
-  const std::vector<double> rows = Flatten(data);
-  const size_t hd = nn.LastHiddenDim();
-  std::vector<double> hidden(data.n() * hd);
-  nn.LastHiddenBatch(rows.data(), data.n(), data.d(), hidden.data());
-  for (size_t i = 0; i < data.n(); i += 13) {
-    const std::vector<double> ref = nn.LastHiddenFeatures(data.Row(i));
-    for (size_t j = 0; j < hd; ++j) ASSERT_EQ(ref[j], hidden[i * hd + j]);
-  }
 }
 
 TEST(InferenceTest, RegressorsBatchedBitIdentical) {
   const Dataset data = MakeRegData(400, 26);
-  const std::vector<double> rows = Flatten(data);
 
   RandomForestRegressor::Options ro;
   ro.num_trees = 20;
@@ -209,16 +146,9 @@ TEST(InferenceTest, RegressorsBatchedBitIdentical) {
   GradientBoostedTreesRegressor gbt;
   gbt.Fit(data);
 
-  std::vector<double> out(data.n());
-  rf.PredictBatch(rows.data(), data.n(), data.d(), out.data());
   for (size_t i = 0; i < data.n(); ++i) {
-    ASSERT_EQ(rf.Predict(data.Row(i)), out[i]);
-    ASSERT_EQ(rf.PredictScalar(data.Row(i)), out[i]);
-  }
-  gbt.PredictBatch(rows.data(), data.n(), data.d(), out.data());
-  for (size_t i = 0; i < data.n(); ++i) {
-    ASSERT_EQ(gbt.Predict(data.Row(i)), out[i]);
-    ASSERT_EQ(gbt.PredictScalar(data.Row(i)), out[i]);
+    ASSERT_EQ(rf.PredictScalar(data.Row(i)), rf.Predict(data.Row(i)));
+    ASSERT_EQ(gbt.PredictScalar(data.Row(i)), gbt.Predict(data.Row(i)));
   }
 }
 
@@ -237,13 +167,14 @@ TEST(InferenceTest, SaveLoadKeepsCompiledPathsIdentical) {
   TokenReader r(&ss);
   loaded.Load(&r);
 
-  // The loaded model must recompile: batch path, not just scalar.
-  ExpectBatchMatchesScalar(loaded, data);
+  // The loaded model must recompile: its compiled path matches both its
+  // own node-chasing reference and the original model.
   std::vector<double> a(3), b(3);
-  for (size_t i = 0; i < data.n(); i += 7) {
+  for (size_t i = 0; i < data.n(); ++i) {
     rf.PredictProbaInto(data.Row(i), a.data());
     loaded.PredictProbaInto(data.Row(i), b.data());
     ASSERT_EQ(a, b);
+    ASSERT_EQ(loaded.PredictProbaScalar(data.Row(i)), b);
   }
 }
 
@@ -379,9 +310,10 @@ TEST(FeatureCacheTest, EvictionIsBoundedFifoAndHandlesAreStable) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched comparator: primed and unprimed answers are identical.
+// Memoized classifier comparator: first and repeated answers are identical
+// to the unmemoized ModelComparator's.
 
-TEST(BatchedComparatorTest, PrimedLabelsMatchScalarLabels) {
+TEST(ClassifierComparatorTest, MemoizedLabelsMatchScalarLabels) {
   auto bdb = BuildTpchLike("bc", 1, 0.9, 51);
   ExecutionDataRepository repo;
   CollectionOptions copts;
@@ -403,38 +335,33 @@ TEST(BatchedComparatorTest, PrimedLabelsMatchScalarLabels) {
   for (size_t i = 0; i < 6; ++i) {
     plans.push_back(bdb->what_if()->Optimize(bdb->queries()[i], {}));
   }
-  std::vector<PlanPairView> pairs;
-  for (size_t i = 0; i < plans.size(); ++i) {
-    for (size_t j = 0; j < plans.size(); ++j) {
-      if (i != j) pairs.push_back({plans[i].get(), plans[j].get()});
-    }
-  }
 
-  ClassifierComparator primed(model, fz);
-  ClassifierComparator unprimed(model, fz);
+  ClassifierComparator memoized(model, fz);
   ModelComparator reference(fz, [&](const std::vector<double>& x) {
     return model->Predict(x.data());
   });
 
-  ThreadPool pool(4);
-  primed.Prime(pairs, &pool);
-  EXPECT_GT(primed.num_batched_labels(), 0);
-
-  for (const PlanPairView& pv : pairs) {
-    const int want = reference.Label(*pv.p1, *pv.p2);
-    EXPECT_EQ(primed.Label(*pv.p1, *pv.p2), want);
-    EXPECT_EQ(unprimed.Label(*pv.p1, *pv.p2), want);
-    EXPECT_EQ(primed.IsRegression(*pv.p1, *pv.p2),
-              reference.IsRegression(*pv.p1, *pv.p2));
-    EXPECT_EQ(primed.IsImprovement(*pv.p1, *pv.p2),
-              reference.IsImprovement(*pv.p1, *pv.p2));
+  // Two passes: the first labels every pair through the model, the
+  // second answers every pair from the memo; both match the reference.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < plans.size(); ++i) {
+      for (size_t j = 0; j < plans.size(); ++j) {
+        if (i == j) continue;
+        const PhysicalPlan& p1 = *plans[i];
+        const PhysicalPlan& p2 = *plans[j];
+        EXPECT_EQ(memoized.Label(p1, p2), reference.Label(p1, p2));
+        EXPECT_EQ(memoized.IsRegression(p1, p2),
+                  reference.IsRegression(p1, p2));
+        EXPECT_EQ(memoized.IsImprovement(p1, p2),
+                  reference.IsImprovement(p1, p2));
+      }
+    }
   }
-  // Every primed decision above was a memo hit.
-  EXPECT_GT(primed.num_label_hits(), 0);
-  // Re-priming the same pairs is a no-op (everything already labeled).
-  const int64_t batched_before = primed.num_batched_labels();
-  primed.Prime(pairs, &pool);
-  EXPECT_EQ(primed.num_batched_labels(), batched_before);
+  // Three questions per ordered pair per pass; only the first of the six
+  // reached the model.
+  const int64_t ordered_pairs =
+      static_cast<int64_t>(plans.size() * (plans.size() - 1));
+  EXPECT_EQ(memoized.num_label_hits(), 5 * ordered_pairs);
 }
 
 }  // namespace

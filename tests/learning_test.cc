@@ -21,7 +21,7 @@
 #include "service/learning/feedback_store.h"
 #include "service/learning/learning_loop.h"
 #include "service/service.h"
-#include "tuner/batched_comparator.h"
+#include "tuner/comparator.h"
 #include "workloads/collection.h"
 #include "workloads/tpch_like.h"
 
@@ -216,17 +216,19 @@ TEST(DecisionSinkTest, ComparatorReportsEveryFreshLabelOnce) {
   comparator.IsImprovement(*plans[0], *plans[1]);
   EXPECT_EQ(sink.decisions.size(), 1u);
 
-  // The batched Prime path reports each fresh pair exactly once too.
-  std::vector<PlanPairView> pairs;
-  for (size_t i = 0; i < plans.size(); ++i) {
-    for (size_t j = 0; j < plans.size(); ++j) {
-      if (i != j) pairs.push_back({plans[i].get(), plans[j].get()});
+  // Asking about every ordered pair, twice over, reports each distinct
+  // pair exactly once.
+  const size_t ordered_pairs = plans.size() * (plans.size() - 1);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < plans.size(); ++i) {
+      for (size_t j = 0; j < plans.size(); ++j) {
+        if (i == j) continue;
+        comparator.IsRegression(*plans[i], *plans[j]);
+        comparator.IsImprovement(*plans[i], *plans[j]);
+      }
     }
+    EXPECT_EQ(sink.decisions.size(), ordered_pairs);
   }
-  comparator.Prime(pairs, nullptr);
-  EXPECT_EQ(sink.decisions.size(), pairs.size());
-  comparator.Prime(pairs, nullptr);
-  EXPECT_EQ(sink.decisions.size(), pairs.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -3,13 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <set>
+#include <utility>
 
+#include "common/random.h"
+#include "common/thread_pool.h"
+#include "models/classifier_model.h"
+#include "models/repository.h"
 #include "tuner/candidates.h"
 #include "tuner/comparator.h"
 #include "tuner/continuous_tuner.h"
 #include "tuner/query_tuner.h"
 #include "tuner/workload_tuner.h"
+#include "workloads/collection.h"
 #include "workloads/query_helpers.h"
 #include "workloads/tpch_like.h"
 
@@ -231,6 +238,127 @@ TEST_F(TunerTest, ContinuousWorkloadTuningProducesTrace) {
   EXPECT_GT(trace.initial_cost, 0);
   EXPECT_GT(trace.final_cost, 0);
   EXPECT_LE(trace.final_cost, trace.initial_cost * 1.5);
+}
+
+// ---------------------------------------------------------------------------
+// The learned comparator labels a pair only when a tuner asks about it.
+
+using PairKey = std::pair<uint64_t, uint64_t>;
+
+/// Thread-safe set of ordered plan pairs (by ContentHash), plus the
+/// number of times a pair was added.
+class PairSet {
+ public:
+  void Add(const PhysicalPlan& p1, const PhysicalPlan& p2) {
+    Add(p1.ContentHash(), p2.ContentHash());
+  }
+  void Add(uint64_t h1, uint64_t h2) {
+    std::lock_guard<std::mutex> lock(mu_);
+    pairs_.insert({h1, h2});
+    ++adds_;
+  }
+  std::set<PairKey> pairs() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return pairs_;
+  }
+  size_t adds() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return adds_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::set<PairKey> pairs_;
+  size_t adds_ = 0;
+};
+
+/// Forwards every question to `inner` and records the pair asked.
+class AskedPairsComparator : public CostComparator {
+ public:
+  explicit AskedPairsComparator(const CostComparator* inner) : inner_(inner) {}
+  bool IsRegression(const PhysicalPlan& p1,
+                    const PhysicalPlan& p2) const override {
+    asked.Add(p1, p2);
+    return inner_->IsRegression(p1, p2);
+  }
+  bool IsImprovement(const PhysicalPlan& p1,
+                     const PhysicalPlan& p2) const override {
+    asked.Add(p1, p2);
+    return inner_->IsImprovement(p1, p2);
+  }
+  mutable PairSet asked;
+
+ private:
+  const CostComparator* inner_;
+};
+
+class SinkPairs : public ComparatorDecisionSink {
+ public:
+  void OnDecision(uint64_t h1, uint64_t h2, int label) override {
+    (void)label;
+    decided.Add(h1, h2);
+  }
+  PairSet decided;
+};
+
+// Runs each tuner twice on the same what-if optimizer: once through a
+// recorder over the scalar ModelComparator (the pairs the search asks
+// about), once with a ClassifierComparator handed to the tuner directly.
+// The comparator's decision sink must see exactly the asked pairs, each
+// once — no pair is labeled ahead of the question.
+TEST_F(TunerTest, ClassifierComparatorDecidesExactlyTheAskedPairs) {
+  ExecutionDataRepository repo;
+  CollectionOptions copts;
+  copts.configs_per_query = 4;
+  copts.seed = 62;
+  CollectExecutionData(bdb_.get(), 0, copts, &repo);
+  Rng rng(63);
+  PairFeaturizer fz({Channel::kEstNodeCost, Channel::kLeafBytesWeighted},
+                    PairCombine::kPairDiffNormalized);
+  PairDatasetBuilder builder(&repo, fz, PairLabeler(0.2));
+  auto trained = MakeClassifier(ModelKind::kRandomForest, fz, 64);
+  trained->Fit(builder.Build(repo.MakePairs(40, &rng)));
+  const std::shared_ptr<const Classifier> model = std::move(trained);
+  const ModelComparator scalar(fz, [&](const std::vector<double>& x) {
+    return model->Predict(x.data());
+  });
+
+  ThreadPool pool(4);
+  CandidateGenerator gen(bdb_->db(), bdb_->stats());
+  std::vector<WorkloadQuery> wl;
+  for (size_t i = 0; i < 6; ++i) {
+    wl.push_back(WorkloadQuery{bdb_->queries()[i], 1.0});
+  }
+
+  const auto expect_decided_as_asked = [&](const auto& tune) {
+    AskedPairsComparator recorder(&scalar);
+    const std::string want = tune(recorder);
+    SinkPairs sink;
+    ClassifierComparator memoized(model, fz);
+    memoized.set_decision_sink(&sink);
+    EXPECT_EQ(tune(memoized), want);
+    EXPECT_FALSE(recorder.asked.pairs().empty());
+    EXPECT_EQ(sink.decided.pairs(), recorder.asked.pairs());
+    EXPECT_EQ(sink.decided.adds(), sink.decided.pairs().size());
+  };
+
+  QueryLevelTuner::Options qopts;
+  qopts.pool = &pool;
+  QueryLevelTuner qtuner(bdb_->db(), bdb_->what_if(), &gen, qopts);
+  expect_decided_as_asked([&](const CostComparator& cmp) {
+    std::string out;
+    for (const WorkloadQuery& wq : wl) {
+      out += qtuner.Tune(wq.query, {}, cmp).recommended.Fingerprint() + ";";
+    }
+    return out;
+  });
+
+  WorkloadLevelTuner::Options wopts;
+  wopts.pool = &pool;
+  WorkloadLevelTuner wtuner(bdb_->db(), bdb_->what_if(), &gen, wopts);
+  expect_decided_as_asked([&](const CostComparator& cmp) {
+    return wtuner.Tune(wl, {}, cmp).recommended.Fingerprint();
+  });
 }
 
 }  // namespace
